@@ -7,12 +7,11 @@ order, as the engine's legacy stlt branch — one shared IPB, one STU
 per core (STB + insertion buffer + SPTW), one kernel
 :class:`~repro.core.os_interface.OSInterface` spanning all STUs, one
 ``STLTalloc`` — and returns real ``STLTFrontend`` objects.  The golden
-regression pins it bit-identical to the pre-refactor frontend across
-reference and batched execution modes.
+regression pins it bit-identical to the pre-refactor frontend.
 
 It also re-exports ``engine.stus`` / ``engine.osi``, so prefill, the
-chaos injector's ``STLTresize`` events, the IPB/scrub telemetry, and
-the batched fast path all work on an accelerated run unchanged.
+chaos injector's ``STLTresize`` events and the IPB/scrub telemetry all
+work on an accelerated run unchanged.
 """
 
 from __future__ import annotations

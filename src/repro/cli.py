@@ -118,7 +118,6 @@ from .sim.config import (
     ACCELS,
     DISPATCH_POLICIES,
     DISTRIBUTIONS,
-    EXEC_MODES,
     FRONTENDS,
     PROGRAMS,
     RunConfig,
@@ -200,12 +199,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="per-core fault, e.g. "
                              "'slowdown:core=1,factor=4' or "
                              "'stall:core=0,cycles=300' (repeatable)")
-    parser.add_argument("--exec-mode", choices=EXEC_MODES,
-                        default="reference",
-                        help="'reference' runs the original loop; "
-                             "'batched' the bit-identical fused fast "
-                             "path; 'untimed' counts hierarchy events "
-                             "without timing (oracle-only runs)")
     parser.add_argument("--seed", type=int, default=1)
 
 
@@ -276,7 +269,6 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         node_types=node_types,
         hetero_accel_keys=getattr(args, "accel_keys", None),
         hetero_big_key_fraction=getattr(args, "big_key_fraction", 0.0),
-        exec_mode=getattr(args, "exec_mode", "reference"),
         seed=args.seed,
     )
 

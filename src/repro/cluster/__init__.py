@@ -28,6 +28,8 @@ Modules
   placement, minimal-remap join/leave, slot moves;
 * :mod:`~repro.cluster.network`   — seeded latency/bandwidth model
   with per-link contention queues;
+* :mod:`~repro.cluster.intervals` — the earliest-gap interval
+  schedule behind every link and accelerator pipeline;
 * :mod:`~repro.cluster.client`    — client population with per-client
   route caches, request pipelining, and the replica-read policy;
 * :mod:`~repro.cluster.migration` — live slot migration scheduled

@@ -14,16 +14,11 @@ A deliberately small model (DESIGN.md section 10 records its limits):
   and the link table stays empty, so a quiet-network cluster run adds
   zero cycles anywhere — the bit-identity anchor for one-node runs.
 
-Link occupancy is an **interval schedule**, not a single high-water
-clock: a transfer claims the earliest serialization-sized gap at or
-after its departure time.  The overlay simulates requests in arrival
-order but *reserves* each request's whole trajectory — including a
-response that leaves long after queueing — before later requests'
-earlier control messages are processed.  A single ``free_at`` clock
-would make those early messages wait behind far-future responses (an
-artifact of processing order, not of the modelled network); gap
-scheduling keeps the timeline causal no matter the order reservations
-are made in.
+Link occupancy is an **interval schedule**
+(:class:`~repro.cluster.intervals.IntervalSchedule`), not a single
+high-water clock: a transfer claims the earliest serialization-sized
+gap at or after its departure time, so a response reserved long after
+it queued never delays later requests' earlier control messages.
 
 Pipelined requests (``client_batch > 1``) skip the propagation delay
 on every batch follower — the batch head pays the RTT, the followers
@@ -52,11 +47,11 @@ seed-derived request stream.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..errors import ClusterError
+from .intervals import IntervalSchedule
 
 __all__ = ["ClusterNetwork", "DEFAULT_BYTES_PER_CYCLE",
            "REQUEST_HEADER_BYTES"]
@@ -81,8 +76,8 @@ class ClusterNetwork:
             raise ClusterError("network bandwidth must be positive")
         self.rtt_cycles = float(rtt_cycles)
         self.bytes_per_cycle = float(bytes_per_cycle)
-        #: directed link -> sorted (start, end) busy intervals
-        self._busy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
+        #: directed link -> its busy intervals
+        self._busy: Dict[Tuple[str, str], IntervalSchedule] = {}
         # -- fault state ----------------------------------------------
         #: endpoints currently dropping every message
         self._partitioned: Set[str] = set()
@@ -161,26 +156,6 @@ class ClusterNetwork:
     # transfers
     # ------------------------------------------------------------------
 
-    def _reserve(self, link: Tuple[str, str], at: float,
-                 duration: float) -> float:
-        """Claim the earliest ``duration``-sized gap on ``link`` at or
-        after ``at``; returns the transfer's start time."""
-        intervals = self._busy.setdefault(link, [])
-        # first interval that could overlap [at, at + duration)
-        i = bisect.bisect_right(intervals, (at, float("inf")))
-        if i and intervals[i - 1][1] > at:
-            i -= 1  # the previous interval is still busy at ``at``
-        start = at
-        while i < len(intervals):
-            busy_start, busy_end = intervals[i]
-            if start + duration <= busy_start:
-                break  # the gap before interval i fits
-            if busy_end > start:
-                start = busy_end
-            i += 1
-        intervals.insert(i, (start, start + duration))
-        return start
-
     def one_way(self, src: str, dst: str, nbytes: int, at: float,
                 propagate: bool = True) -> float:
         """Deliver ``nbytes`` from ``src`` to ``dst``, departing ``at``.
@@ -203,7 +178,10 @@ class ClusterNetwork:
             raise ClusterError("cannot transfer a negative byte count")
         lat_mult, bw_div = self._factors(src, dst)
         serialization = nbytes * bw_div / self.bytes_per_cycle
-        start = self._reserve((src, dst), at, serialization)
+        link = self._busy.get((src, dst))
+        if link is None:
+            link = self._busy[(src, dst)] = IntervalSchedule()
+        start = link.claim(at, serialization)
         self.transfers += 1
         self.bytes_moved += nbytes
         self.link_wait_cycles += start - at

@@ -53,7 +53,6 @@ Two oracles cross-check every run:
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
@@ -78,6 +77,7 @@ from ..workloads.distributions import make_chooser
 from ..workloads.keys import key_bytes
 from .client import ClusterClient
 from .failover import FailoverScheduler, parse_node_fault
+from .intervals import IntervalSchedule
 from .migration import MigrationScheduler
 from .network import REQUEST_HEADER_BYTES, ClusterNetwork
 from .topology import ClusterTopology, slot_for_key
@@ -308,7 +308,7 @@ class _AccelServer:
     timeline, never hidden.
     """
 
-    __slots__ = ("name", "node_id", "model", "value_bytes", "_intervals",
+    __slots__ = ("name", "node_id", "model", "value_bytes", "pipeline",
                  "served", "busy", "histogram", "latency_sum",
                  "lookups", "hits", "misses", "installs",
                  "invalidations", "mode_switches", "mgmt_cycles")
@@ -319,8 +319,7 @@ class _AccelServer:
         self.node_id = node_id
         self.model = AccelNodeModel(capacity_keys)
         self.value_bytes = value_bytes
-        #: sorted (start, end) busy intervals of the pipeline
-        self._intervals: List[Tuple[float, float]] = []
+        self.pipeline = IntervalSchedule()
         self.served = 0
         self.busy = 0.0
         self.histogram = LatencyHistogram(precision=precision)
@@ -334,23 +333,8 @@ class _AccelServer:
         self.mgmt_cycles = 0.0
 
     def _claim(self, at: float, duration: float) -> float:
-        """Claim the earliest ``duration``-sized pipeline gap at or
-        after ``at``; returns the occupancy's start time."""
-        intervals = self._intervals
-        i = bisect.bisect_right(intervals, (at, float("inf")))
-        if i and intervals[i - 1][1] > at:
-            i -= 1
-        start = at
-        while i < len(intervals):
-            busy_start, busy_end = intervals[i]
-            if start + duration <= busy_start:
-                break
-            if busy_end > start:
-                start = busy_end
-            i += 1
-        intervals.insert(i, (start, start + duration))
         self.busy += duration
-        return start
+        return self.pipeline.claim(at, duration)
 
     def serve_lookup(self, at: float, key_len: int) -> float:
         """Serve one *resident* lookup; returns the completion time."""
@@ -1200,10 +1184,8 @@ def run_cluster(config):
             # closed-loop capacity is the lookup pipeline's initiation
             # interval for a canonical resident GET, and they
             # contribute no op-cycle captures
-            capacities.append(
-                1.0 if config.exec_mode == "untimed"
-                else 1.0 / lookup_interval_cycles(CANON_KEY_BYTES,
-                                                  config.value_size))
+            capacities.append(1.0 / lookup_interval_cycles(
+                CANON_KEY_BYTES, config.value_size))
             captures.append(())
             continue
         engine = Engine(_node_config(config, node))
@@ -1214,11 +1196,7 @@ def run_cluster(config):
         if mc.injector is not None:
             result.chaos = build_chaos_report(engine, mc.injector)
         per_node_results.append(result)
-        # untimed engines report zero cycles, hence zero throughput; the
-        # overlay only needs *relative* node capacities to route, so an
-        # event-count run gives every node unit capacity
-        capacities.append(1.0 if config.exec_mode == "untimed"
-                          else result.throughput)
+        capacities.append(result.throughput)
         captures.append(outcome.op_cycles)
 
     cluster = simulate_cluster(config, capacities, captures)

@@ -19,12 +19,7 @@ import random
 from typing import List, Optional, Set, Tuple
 
 from ..errors import STLTError
-from ..mem.kernels import (
-    matching_indices,
-    occupancy_count,
-    rows_in_pages,
-    state_digest,
-)
+from ..mem.kernels import matching_indices, occupancy_count, rows_in_pages
 from ..params import PAGE_SHIFT
 from .counters import ProbabilisticCounterPolicy
 from .row import ROW_BYTES, SUBINT_BITS, SUBINT_MASK, STLTRow
@@ -175,17 +170,12 @@ class STLT:
     # -- OS-side maintenance ----------------------------------------------
 
     def clear(self) -> None:
-        """Drop all content (STLTresize clears the table; Section III-F).
-
-        Clears in place: the batched execution mode holds kernel views
-        (direct references) onto the column lists, so the lists must
-        never be rebound once the table exists.
-        """
+        """Drop all content (STLTresize clears the table; Section III-F)."""
         n = self.num_rows
-        self._counters[:] = [0] * n
-        self._subints[:] = [0] * n
-        self._vas[:] = [0] * n
-        self._ptes[:] = [0] * n
+        self._counters = [0] * n
+        self._subints = [0] * n
+        self._vas = [0] * n
+        self._ptes = [0] * n
 
     def _scrub_rows(self, rows) -> int:
         counters, subints, vas, ptes = (
@@ -217,11 +207,6 @@ class STLT:
     @property
     def occupancy(self) -> int:
         return occupancy_count(self._vas)
-
-    def state_digest(self) -> str:
-        """Stable digest of the full table content (mode drift guard)."""
-        return state_digest(self.num_rows, self.ways, self._counters,
-                            self._subints, self._vas, self._ptes)
 
     @property
     def hit_rate(self) -> float:

@@ -469,26 +469,6 @@ def _failover_points() -> List[SweepPoint]:
     return spec.expand()
 
 
-def _fastpath_points() -> List[SweepPoint]:
-    """Batched-mode companion of ``smoke``: the same tiny configs run
-    through the fused execution path, single- and two-core, so CI
-    exercises the ExecutionMode seam end to end (sweep plumbing,
-    aggregate serialisation, the shared-STLT interleave) in seconds.
-    The differential suite separately pins batched == reference;
-    this sweep proves the mode survives the full campaign machinery."""
-    spec = SweepSpec(
-        name="fastpath",
-        base=dict(num_keys=200, measure_ops=60, warmup_ops=120,
-                  exec_mode="batched"),
-        grid={
-            "program": ["unordered_map"],
-            "frontend": ["stlt"],
-            "num_cores": [1, 2],
-        },
-    )
-    return spec.expand()
-
-
 #: the five design points of the translation-accel head-to-head
 #: ("Fig. 11 for five designs"): the unaccelerated baseline plus the
 #: four repro.accel backends, all on the baseline frontend
@@ -592,9 +572,6 @@ _BUILTIN: Dict[str, Tuple[Callable[[], List[SweepPoint]], str]] = {
         _failover_points,
         "cluster crash/restart: lazy vs eager route repair, acked-write "
         "oracle"),
-    "fastpath": (
-        _fastpath_points,
-        "batched-mode smoke: the fused execution path, 1 and 2 cores"),
     "accel": (
         _accel_points,
         "translation-accel head-to-head: baseline vs stlt/victima/"

@@ -85,22 +85,6 @@ class Cache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def kernel_view(self):
-        """Flat access view for the batched execution mode.
-
-        The view aliases the live set list — it is a zero-copy window
-        onto this cache, not a snapshot (see
-        :class:`repro.mem.kernels.SetArrayView`).
-        """
-        from .kernels import SetArrayView
-        return SetArrayView(self._sets, self._num_sets, self._ways,
-                            self._set_mask, self.latency)
-
-    def flat_state(self) -> List[int]:
-        """Tag state as one flat set-major array (digests / kernels)."""
-        from .kernels import flatten_sets
-        return flatten_sets(self._sets, self._ways)
-
     def set_contents(self, set_index: int) -> List[int]:
         """Return the line addresses in one set, LRU first (for tests)."""
         if not 0 <= set_index < self._num_sets:

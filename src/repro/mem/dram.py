@@ -53,23 +53,6 @@ class DRAM:
     def channel_free_at(self) -> int:
         return self._channel_free_at
 
-    def snapshot(self) -> dict:
-        """Full queue-accounting state as plain data.
-
-        The channel model is order-dependent (``_channel_free_at``
-        serialises requests), so the execution-mode differential tests
-        compare this snapshot across modes: identical snapshots prove
-        the batched mode replayed the exact same request order, not
-        just the same totals.
-        """
-        return {
-            "channel_free_at": self._channel_free_at,
-            "accesses": self.accesses,
-            "queue_cycles": self.queue_cycles,
-            "busy_cycles": self.busy_cycles,
-            "max_queue_cycles": self.max_queue_cycles,
-        }
-
     def reset_stats(self) -> None:
         self.accesses = 0
         self.queue_cycles = 0

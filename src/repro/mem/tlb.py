@@ -70,22 +70,6 @@ class TLB:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def kernel_view(self):
-        """Flat access view for the batched execution mode.
-
-        TLB sets are modulo-indexed (``vpn % num_sets``, the geometry
-        is not a power of two), so the view's ``set_mask`` is -1 and
-        kernels must index by modulo.
-        """
-        from .kernels import SetArrayView
-        return SetArrayView(self._sets, self._num_sets, self._ways,
-                            -1, self.latency)
-
-    def flat_state(self) -> List[int]:
-        """VPN tag state as one flat set-major array (digests)."""
-        from .kernels import flatten_sets
-        return flatten_sets(self._sets, self._ways)
-
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

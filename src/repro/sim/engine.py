@@ -60,17 +60,12 @@ class Engine:
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-        mem_class = None
-        if config.exec_mode == "untimed":
-            from ..mem.untimed import UntimedMemorySystem
-            mem_class = UntimedMemorySystem
         self.ctx = SimContext.create(
             machine=config.machine,
             slow_hash=config.slow_hash,
             num_cores=config.num_cores,
             mem_kwargs_fn=lambda core_id: _prefetcher_kwargs(
                 config.prefetchers),
-            mem_class=mem_class,
         )
         self.redis: Optional[RedisModel] = None
         if config.program == "redis":
@@ -338,25 +333,6 @@ class Engine:
         table = getattr(self.frontend, "table", None)
         if table is not None:
             return table.size_bytes
-        return None
-
-    def prefill_digest(self) -> Optional[str]:
-        """Content digest of the fast-path table this engine observes.
-
-        Taken right after construction it certifies the prefill state;
-        the execution-mode differential suite compares digests across
-        reference / batched / untimed engines built from the same
-        config — the seam that would otherwise let the modes silently
-        drift apart (``_prefill_fast_tables`` runs before the mode
-        split, so any divergence is a bug in the mode itself).
-        """
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.state_digest()
-        table = getattr(self.frontend, "table", None)
-        if table is not None:
-            return table.state_digest()
-        if self.slb is not None:
-            return self.slb.state_digest()
         return None
 
     # old private spellings, kept for external callers

@@ -160,28 +160,13 @@ class MultiCoreEngine:
             for core_id in range(n)
         ]
 
-    def run(self, streams: Optional[List[List]] = None) \
-            -> MultiCoreRunResult:
-        """Run the interleaved epoch.
-
-        ``streams`` lets a caller supply pre-generated per-core op
-        arrays (exactly what :meth:`_streams` returns for this config).
-        Generation is deterministic, so passing them changes nothing
-        about the run — the benchmark harness uses this to time the
-        execution engines over identical arrays without re-paying
-        workload generation inside the measured region.
-        """
+    def run(self) -> MultiCoreRunResult:
+        """Run the interleaved epoch."""
         config = self.config
         engine = self.engine
         spec = WorkloadSpec(distribution=config.distribution,
                             value_size=config.value_size)
-        if streams is None:
-            streams = self._streams(spec)
-        elif (len(streams) != config.num_cores
-              or any(len(s) != config.total_ops for s in streams)):
-            raise KVSError(
-                "pre-generated streams do not match the config: need "
-                f"{config.num_cores} cores x {config.total_ops} ops")
+        streams = self._streams(spec)
         warmup = config.effective_warmup_ops
         n = config.num_cores
         states = [_CoreRunState(engine, core_id) for core_id in range(n)]
@@ -189,19 +174,6 @@ class MultiCoreEngine:
         capture = self.capture_op_cycles
         injector = self.injector
         faulted = injector is not None and injector.has_faults
-
-        # execution-mode seam: the batched mode hands the interleave to
-        # the fused executor loop (bit-identical by the differential
-        # suite); reference and untimed run the loop below with the
-        # engine's own methods (untimed differs only in the memory
-        # system the engine was built with)
-        if config.exec_mode == "batched":
-            from .fastpath import BatchedOpExecutor  # avoid an import cycle
-            BatchedOpExecutor(engine).run_interleave(
-                streams, states, warmup, capture=capture,
-                injector=injector, faulted=faulted,
-                value_size=spec.value_size)
-            return self._fold(states, capture)
 
         do_get = engine.do_get
         do_set = engine.do_set
@@ -242,13 +214,6 @@ class MultiCoreEngine:
                     # the per-op service capture
                     injector.after_op(core_id, i)
 
-        return self._fold(states, capture)
-
-    def _fold(self, states: List[_CoreRunState],
-              capture: bool) -> MultiCoreRunResult:
-        """Turn the per-core run states into the epoch result."""
-        config = self.config
-        n = config.num_cores
         per_core = [state.finish(n) for state in states]
         op_cycles = [state.op_cycles for state in states] if capture \
             else None

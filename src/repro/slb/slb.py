@@ -27,7 +27,7 @@ from ..errors import ConfigError
 from ..hashes.registry import HashSpec
 from ..mem.hierarchy import MemorySystem
 from ..mem.address_space import AddressSpace
-from ..mem.kernels import matching_indices, state_digest
+from ..mem.kernels import matching_indices
 from ..mem.types import AccessKind
 
 CACHE_ENTRY_BYTES = 16
@@ -200,15 +200,8 @@ class SLBCache:
         return dropped
 
     def _age(self) -> None:
-        # in place: execution-mode digests (and any kernel views) hold
-        # direct references onto these lists
-        self._freqs[:] = [f >> 1 for f in self._freqs]
-        self._log[:] = [f >> 1 for f in self._log]
-
-    def state_digest(self) -> str:
-        """Stable digest of the cache + log tables (mode drift guard)."""
-        return state_digest(self.num_entries, self._sigs, self._vas,
-                            self._freqs, self._log)
+        self._freqs = [f >> 1 for f in self._freqs]
+        self._log = [f >> 1 for f in self._log]
 
     # -- stats -------------------------------------------------------------
 

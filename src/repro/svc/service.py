@@ -510,12 +510,6 @@ def service_from_config(config, service_cycles: Sequence[Sequence[int]],
     """
     if config.arrival_process == "closed":
         raise ConfigError("closed-loop configs have no service model")
-    if getattr(config, "exec_mode", "reference") == "untimed":
-        # RunConfig already rejects this combination; the guard covers
-        # callers handing in hand-built configs
-        raise ConfigError(
-            "untimed execution captures no service times; the queueing "
-            "layer needs a timed run (exec_mode 'reference' or 'batched')")
     if closed_loop_throughput <= 0.0:
         raise ConfigError("closed-loop throughput must be positive")
     rate = config.offered_load * closed_loop_throughput

@@ -4,11 +4,10 @@ The contract (DESIGN.md section 12):
 
 * ``accel=stlt`` is the pre-refactor ``frontend="stlt"`` machinery
   behind the :class:`~repro.accel.base.TranslationAccel` interface —
-  pinned *bit-identical* to ``tests/data/golden_smoke.json`` in both
-  reference and batched execution modes, as is ``accel=none`` with the
-  baseline frontend;
+  pinned *bit-identical* to ``tests/data/golden_smoke.json``, as is
+  ``accel=none`` with the baseline frontend;
 * every rival backend (victima / pcax / revelator) is deterministic
-  across execution modes and **oracle-clean under OS churn**: a stale
+  per seed and **oracle-clean under OS churn**: a stale
   translation is charged as a misspeculation or invalidated, never
   served;
 * the config axis is validated, labelled, content-hashed, and carries
@@ -44,11 +43,10 @@ def golden():
 class TestGoldenBitIdentity:
     """The refactor seam: accel=stlt / accel=none vs. the golden run."""
 
-    @pytest.mark.parametrize("exec_mode", ["reference", "batched"])
     @pytest.mark.parametrize("program", ["unordered_map", "btree"])
-    def test_accel_stlt_matches_golden_stlt(self, program, exec_mode):
+    def test_accel_stlt_matches_golden_stlt(self, program):
         config = RunConfig(program=program, frontend="baseline",
-                           accel="stlt", exec_mode=exec_mode, **SMOKE)
+                           accel="stlt", **SMOKE)
         result = run_experiment(config)
         want = golden()[f"{program}/stlt"]
         assert result.cycles == want["cycles"]
@@ -62,11 +60,10 @@ class TestGoldenBitIdentity:
             assert mem[counter] == value, (
                 f"{program}: accel=stlt drifted on {counter}")
 
-    @pytest.mark.parametrize("exec_mode", ["reference", "batched"])
     @pytest.mark.parametrize("program", ["unordered_map", "btree"])
-    def test_accel_none_matches_golden_baseline(self, program, exec_mode):
+    def test_accel_none_matches_golden_baseline(self, program):
         config = RunConfig(program=program, frontend="baseline",
-                           accel="none", exec_mode=exec_mode, **SMOKE)
+                           accel="none", **SMOKE)
         result = run_experiment(config)
         want = golden()[f"{program}/baseline"]
         assert result.cycles == want["cycles"]
@@ -89,30 +86,6 @@ class TestRivalBackends:
     """victima / pcax / revelator under the same memory system."""
 
     @pytest.mark.parametrize("accel", RIVALS)
-    def test_reference_and_batched_are_identical(self, accel):
-        config = RunConfig(program="redis", frontend="baseline",
-                           accel=accel, **BIG)
-        ref = run_experiment(
-            dataclasses.replace(config, exec_mode="reference"))
-        bat = run_experiment(
-            dataclasses.replace(config, exec_mode="batched"))
-        assert bat.to_dict() == ref.to_dict()
-        assert bat.accel == ref.accel
-
-    @pytest.mark.parametrize("accel", RIVALS)
-    def test_untimed_counts_match_reference(self, accel):
-        config = RunConfig(program="redis", frontend="baseline",
-                           accel=accel, **BIG)
-        ref = run_experiment(
-            dataclasses.replace(config, exec_mode="reference"))
-        unt = run_experiment(
-            dataclasses.replace(config, exec_mode="untimed"))
-        assert unt.accel == ref.accel
-        assert asdict(unt.mem)["page_walks"] == \
-            asdict(ref.mem)["page_walks"]
-        assert unt.cycles == 0
-
-    @pytest.mark.parametrize("accel", RIVALS)
     def test_backend_is_exercised_past_tlb_reach(self, accel):
         config = RunConfig(program="redis", frontend="baseline",
                            accel=accel, **BIG)
@@ -125,6 +98,10 @@ class TestRivalBackends:
             assert telemetry["hits"] > 0
         # rivals never populate the key-level fast path
         assert result.fast_miss_rate is None
+        # deterministic per seed, telemetry included
+        again = run_experiment(config)
+        assert again.to_dict() == result.to_dict()
+        assert again.accel == telemetry
 
     def test_victima_and_pcax_reduce_walks(self):
         base = RunConfig(program="redis", frontend="baseline",

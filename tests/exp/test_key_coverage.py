@@ -66,7 +66,6 @@ ALTERNATES = {
     "accel_probe_cycles": 7,
     "spec_validate_cycles": 9,
     "spec_mispredict_cycles": 50,
-    "exec_mode": "batched",
     "seed": 99,
     "machine": dataclasses.replace(SCALED_MACHINE, line_bytes=128),
 }

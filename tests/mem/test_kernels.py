@@ -1,29 +1,20 @@
-"""The array-backed kernel helpers behind the batched execution mode.
+"""The bulk scrub kernels behind the STLT and SLB table scans.
 
 Every helper in :mod:`repro.mem.kernels` has a numpy path and a pure
 fallback that must compute the identical answer (one CI leg runs
-without numpy at all), the structure views must *alias* live state
-rather than snapshot it, and the state digests the mode drift guards
-compare must be stable and content-sensitive.
+without numpy at all).
 """
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.cache import Cache
-from repro.params import CacheParams, TLBParams
 from repro.mem.kernels import (
     HAVE_NUMPY,
-    SetArrayView,
     _NUMPY_MIN_ROWS,
-    flatten_sets,
     matching_indices,
     occupancy_count,
     rows_in_pages,
-    state_digest,
 )
-from repro.mem.tlb import TLB
 
 
 def pure_matching(values, target):
@@ -72,74 +63,3 @@ class TestKernelHelpers:
         # documents the matrix assumption: the helper module never
         # crashes for lack of numpy, it just reports it
         assert isinstance(HAVE_NUMPY, bool)
-
-
-class TestFlattenSets:
-    def test_residency_order_and_padding(self):
-        cache = Cache(CacheParams("t", 4 * 64 * 2, 2, 1))
-        cache.insert(0)  # set 0, oldest
-        cache.insert(4)  # set 0, youngest
-        cache.insert(1)  # set 1
-        flat = flatten_sets(cache._sets, 2)
-        assert len(flat) == cache._num_sets * 2
-        assert flat[0:2] == [0, 4]     # oldest first
-        assert flat[2:4] == [1, -1]    # padded with -1
-
-    def test_flat_state_tracks_lru_updates(self):
-        cache = Cache(CacheParams("t", 4 * 64 * 2, 2, 1))
-        cache.insert(0)
-        cache.insert(4)
-        cache.lookup(0)  # 0 becomes the youngest
-        assert flatten_sets(cache._sets, 2)[0:2] == [4, 0]
-
-
-class TestSetArrayView:
-    """Views alias live structures — never copies."""
-
-    def test_cache_view_aliases_live_sets(self):
-        cache = Cache(CacheParams("t", 64 * 64 * 4, 4, 3))
-        view = cache.kernel_view()
-        assert view.sets is cache._sets
-        assert view.set_mask == cache._set_mask
-        assert view.latency == 3
-        cache.insert(17)
-        s = view.sets[17 & view.set_mask]
-        assert 17 in s
-
-    def test_tlb_view_uses_modulo_indexing(self):
-        tlb = TLB(TLBParams("t", 48, 4, 1))
-        view = tlb.kernel_view()
-        assert view.sets is tlb._sets
-        assert view.set_mask == -1  # not power-of-two: modulo indexing
-        assert view.num_sets == tlb._num_sets
-        tlb.insert(100, 7)
-        assert view.sets[100 % view.num_sets].get(100) == 7
-
-    def test_view_is_plain_slots(self):
-        view = SetArrayView([], 0, 0, 0, 0)
-        with pytest.raises(AttributeError):
-            view.extra = 1  # no __dict__: the kernel's hot object
-
-
-class TestStateDigest:
-    def test_stable_for_equal_content(self):
-        a = state_digest(4, 2, [1, 2, 3], [0, 0, 1])
-        b = state_digest(4, 2, [1, 2, 3], [0, 0, 1])
-        assert a == b
-
-    def test_sensitive_to_any_element(self):
-        base = state_digest(4, 2, [1, 2, 3])
-        assert state_digest(4, 2, [1, 2, 4]) != base
-        assert state_digest(4, 3, [1, 2, 3]) != base
-        assert state_digest(4, 2, [1, 2]) != base
-
-    def test_boundary_is_not_ambiguous(self):
-        # ";" separation: [1, 23] must not collide with [12, 3]
-        assert state_digest([1, 23]) != state_digest([12, 3])
-        assert state_digest([1], [2]) != state_digest([1, 2])
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy leg only")
-    def test_numpy_arrays_digest_like_lists(self):
-        import numpy as np
-        assert state_digest(np.array([1, 2, 3])) == \
-            state_digest([1, 2, 3])

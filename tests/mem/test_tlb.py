@@ -38,6 +38,12 @@ class TestTLB:
         for vpn in range(2000):
             tlb.insert(vpn, vpn + 1)
         assert tlb.occupancy <= 1536
+        # modulo indexing: five VPNs congruent mod 384 share one 4-way set
+        tlb = TLB(TLBParams("stlb", 1536, 4, 7))
+        for vpn in range(0, 5 * 384, 384):
+            tlb.insert(vpn, vpn + 1)
+        assert tlb.lookup(0) is None
+        assert tlb.lookup(4 * 384) == 4 * 384 + 1
 
     def test_invalidate(self):
         tlb = make_tlb()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.config import RunConfig
 from repro.sim.engine import Engine, run_experiment
+from repro.workloads.keys import key_bytes
 
 SMALL = dict(num_keys=3000, measure_ops=800, warmup_ops=1600)
 
@@ -67,6 +68,12 @@ class TestPrefill:
         result = run_experiment(RunConfig(frontend="slb", **SMALL))
         assert result.fast_miss_rate < 0.10
 
+    @pytest.mark.parametrize("frontend", ["stlt", "stlt_sw"])
+    def test_prefill_installs_every_key_at_build(self, frontend):
+        engine = Engine(RunConfig(frontend=frontend, num_keys=200,
+                                  measure_ops=60, warmup_ops=120))
+        assert 0 < engine.fast_occupancy() <= 200
+
 
 class TestResultContents:
     def test_fast_table_bytes_reported(self):
@@ -96,6 +103,29 @@ class TestFunctionalIntegrity:
     def test_stb_hits_occur_with_full_stlt(self):
         result = run_experiment(RunConfig(frontend="stlt", **SMALL))
         assert result.mem.stb_hits > 0
+
+    def test_mid_run_record_move_is_refreshed(self):
+        """Section III-F mid-run: realloc one record, run the refresh
+        protocol, and keep serving GETs, the moved key included."""
+        keys = 120
+        engine = Engine(RunConfig(frontend="stlt", num_keys=keys,
+                                  measure_ops=30, warmup_ops=0))
+        frontend = engine.frontends[0]
+        engine.bind_core(0)
+        for key_id in range(keys):
+            engine.do_get(0, key_id)
+        record = frontend.index.lookup(key_bytes(7))
+        old_va = engine.ctx.records.move(record)
+        engine.notify_record_moved(record, old_va)
+        assert record.va != old_va
+        hits, checks = frontend.fast_hits, engine.oracle.checks
+        engine.do_get(0, 7)
+        # the refreshed row points at the new VA: a checked fast hit
+        assert frontend.fast_hits == hits + 1
+        assert engine.oracle.checks == checks + 1
+        for key_id in range(keys):
+            engine.do_get(0, key_id)
+        assert engine.oracle.checks == checks + 1 + keys
 
     def test_va_only_never_touches_stb(self):
         result = run_experiment(RunConfig(frontend="stlt_va", **SMALL))

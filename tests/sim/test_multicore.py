@@ -198,6 +198,20 @@ class TestOpCycleCapture:
             # the per-op deltas partition the measured window exactly
             assert sum(per_op) == result.mem.total_cycles
 
+    def test_op_cycles_tile_the_window_under_faults(self):
+        # fault cycles are charged before the capture, so the per-op
+        # deltas still tile the window and capture stays observation
+        config = RunConfig(frontend="stlt",
+                           fault_plan=("slowdown:core=0,factor=2",),
+                           **SMOKE)
+        plain = MultiCoreEngine(Engine(config)).run()
+        outcome = MultiCoreEngine(Engine(config),
+                                  capture_op_cycles=True).run()
+        result = outcome.per_core[0]
+        assert result.attr.get("fault", 0) > 0
+        assert sum(outcome.op_cycles[0]) == result.mem.total_cycles
+        assert result.to_dict() == plain.per_core[0].to_dict()
+
     def test_multicore_capture_matches_uncaptured_run(self):
         config = RunConfig(frontend="stlt", num_cores=2, **SMOKE)
         plain = MultiCoreEngine(Engine(config)).run()
