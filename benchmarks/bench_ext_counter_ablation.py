@@ -38,7 +38,7 @@ def _run(ratio: float, disable_counter: bool) -> dict:
         stlt = engine.stu.stlt
         stlt.counter_policy = _DisabledCounterPolicy()
         stlt.clear()
-        engine._prefill_fast_tables()
+        engine.design.prefill(engine.records)
     result = engine.run()
     return {
         "cycles_per_op": result.cycles_per_op,

@@ -1,17 +1,18 @@
 """The ``TranslationAccel`` interface (DESIGN.md section 12).
 
-A translation accelerator is one *design point* in the head-to-head
-lab: a hardware/software mechanism that shortens the path from a
-virtual address to data under the exact same memory system, OS-churn
-paths, and stale-translation oracle as every rival.  A backend plugs
-into the simulator at two seams:
+A translation design is one *design point* the evaluation compares:
+one answer to "how does a GET find its record's address?" under the
+exact same memory system, OS-churn paths, and stale-translation oracle
+as every other design.  ``RunConfig.frontend`` names one design; each
+name maps to one subclass in :data:`repro.accel.DESIGNS`.  A design
+plugs into the simulator at two seams:
 
 * **front-ends** — :meth:`TranslationAccel.build_frontends` returns one
-  :class:`~repro.sim.frontend.LookupFrontend` per core.  The STLT
-  backend returns real ``STLTFrontend`` objects (the key-level fast
-  path *is* the design); the translation-level backends return plain
+  :class:`~repro.sim.frontend.LookupFrontend` per core.  The key-level
+  designs (SLB, STLT and its ablations) return their own front-ends
+  over a shared fast table; the translation-level designs return plain
   baseline front-ends and do their work below the TLBs.
-* **the L2-TLB-miss slot** — a backend may attach one resolver per
+* **the L2-TLB-miss slot** — a design may attach one resolver per
   core via :meth:`repro.mem.hierarchy.MemorySystem.attach_accel`.  The
   resolver owns the probe/walk/fill protocol for that core and is
   called exactly where the reference system would start a page walk.
@@ -31,7 +32,7 @@ page table would not — speculative designs fetch in parallel and
 *validate*; the always-on CoherenceError oracle is the backstop.
 
 Scrubbing (the STLT's IPB-overflow slow path) is design-private: the
-STLT backend inherits it through :class:`repro.core.os_interface`, the
+STLT designs inherit it through :class:`repro.core.os_interface`, the
 rivals invalidate eagerly per page, and Revelator deliberately keeps
 stale predictions (staleness is a charged misspeculation, never a
 correctness event).
@@ -42,17 +43,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..core.hwcost import HardwareCostReport
+from ..sim.frontend import BaselineFrontend, LookupFrontend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..kvs.records import Record
+    from ..params import MachineParams
     from ..sim.engine import Engine
-    from ..sim.frontend import LookupFrontend
 
 
 class TranslationAccel:
-    """One pluggable translation-acceleration design."""
+    """One translation design; the base class is the unmodified program
+    (baseline front-ends, no fast table, no extra hardware)."""
 
-    #: the ACCELS name of the design (set by subclasses)
-    name: str = "none"
+    #: the ``RunConfig.frontend`` name of the design
+    name: str = "baseline"
+    #: whether GETs can hit a key-level fast path, i.e. whether a run
+    #: reports ``fast_miss_rate`` (the translation-level rivals do not)
+    key_level: bool = False
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -60,25 +67,42 @@ class TranslationAccel:
 
     # -- construction ---------------------------------------------------
 
-    def build_frontends(self) -> "List[LookupFrontend]":
+    def build_frontends(self) -> List[LookupFrontend]:
         """Build per-core front-ends and attach any per-core resolvers.
 
-        Called from ``Engine._build_frontends`` in place of the frontend
-        branches; the backend may also populate ``engine.stus`` /
-        ``engine.osi`` (the STLT backend does, so prefill, chaos
-        telemetry, and STLTresize injection keep working unchanged).
+        A design may also populate ``engine.stus`` / ``engine.osi`` /
+        ``engine.slb`` (the STLT and SLB designs do, so chaos
+        telemetry, STLTresize injection and core binding see them).
         """
-        raise NotImplementedError
+        engine = self.engine
+        return [BaselineFrontend(engine.ctx, engine.index)
+                for _ in engine.ctx.cores]
 
-    # -- reporting ------------------------------------------------------
+    def prefill(self, records: "List[Record]") -> None:
+        """Untimed steady-state install of every live record into the
+        design's own fast table (none for the base design)."""
 
-    def report(self) -> dict:
-        """Backend telemetry for ``RunResult.accel`` (plain JSON data)."""
-        return {"accel": self.name}
+    # -- introspection and reporting ------------------------------------
 
-    def hardware_cost(self) -> HardwareCostReport:
-        """Table-1-style on-chip bit budget of this design."""
-        raise NotImplementedError
+    def fast_occupancy(self) -> Optional[int]:
+        """Live rows of the fast table, or None without one."""
+        return None
+
+    def fast_table_bytes(self) -> Optional[int]:
+        """Bytes of the fast table(s), or None without one."""
+        return None
+
+    def report(self) -> Optional[dict]:
+        """Telemetry for ``RunResult.accel`` (plain JSON data), or None
+        for a design that keeps no counters of its own."""
+        return None
+
+    @classmethod
+    def hardware_cost(cls, machine: "MachineParams", rows: int,
+                      ways: int) -> HardwareCostReport:
+        """Table-1-style on-chip bit budget of this design on
+        ``machine`` with ``rows`` x ``ways`` accel tables."""
+        return HardwareCostReport(components={})
 
 
 class SetAssocTable:

@@ -27,10 +27,11 @@ from typing import TYPE_CHECKING, Dict, List
 
 from ..core.hwcost import HardwareCostReport, pcax_cost
 from ..mem.types import AccessKind
+from ..sim.frontend import LookupFrontend
 from .base import SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sim.frontend import LookupFrontend
+    from ..params import MachineParams
 
 #: default probe latency of the dedicated PC-indexed SRAM
 DEFAULT_PROBE_CYCLES = 2
@@ -98,23 +99,18 @@ class PCAXAccel(TranslationAccel):
         super().__init__(engine)
         self.resolvers: List[_PCAXResolver] = []
 
-    def build_frontends(self) -> "List[LookupFrontend]":
-        from ..sim.frontend import make_frontend  # avoid an import cycle
+    def build_frontends(self) -> List[LookupFrontend]:
         config = self.config
-        ctx = self.engine.ctx
         probe = config.accel_probe_cycles
         if probe is None:
             probe = DEFAULT_PROBE_CYCLES
-        frontends = []
-        for core in ctx.cores:
+        for core in self.engine.ctx.cores:
             resolver = _PCAXResolver(
                 config.effective_accel_rows, config.accel_ways,
                 probe_cycles=probe)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
-            frontends.append(
-                make_frontend("baseline", ctx, self.engine.index))
-        return frontends
+        return super().build_frontends()
 
     def report(self) -> dict:
         return {
@@ -128,6 +124,7 @@ class PCAXAccel(TranslationAccel):
                             default=0),
         }
 
-    def hardware_cost(self) -> HardwareCostReport:
-        return pcax_cost(self.config.effective_accel_rows,
-                         ways=self.config.accel_ways)
+    @classmethod
+    def hardware_cost(cls, machine: "MachineParams", rows: int,
+                      ways: int) -> HardwareCostReport:
+        return pcax_cost(rows, ways=ways)

@@ -30,10 +30,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from ..core.hwcost import HardwareCostReport, revelator_cost
+from ..sim.frontend import LookupFrontend
 from .base import TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sim.frontend import LookupFrontend
+    from ..params import MachineParams
 
 
 class _RevelatorResolver:
@@ -91,20 +92,15 @@ class RevelatorAccel(TranslationAccel):
         super().__init__(engine)
         self.resolvers: List[_RevelatorResolver] = []
 
-    def build_frontends(self) -> "List[LookupFrontend]":
-        from ..sim.frontend import make_frontend  # avoid an import cycle
+    def build_frontends(self) -> List[LookupFrontend]:
         config = self.config
-        ctx = self.engine.ctx
-        frontends = []
-        for core in ctx.cores:
+        for core in self.engine.ctx.cores:
             resolver = _RevelatorResolver(
                 validate_cycles=config.spec_validate_cycles,
                 mispredict_cycles=config.spec_mispredict_cycles)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
-            frontends.append(
-                make_frontend("baseline", ctx, self.engine.index))
-        return frontends
+        return super().build_frontends()
 
     def report(self) -> dict:
         return {
@@ -115,5 +111,7 @@ class RevelatorAccel(TranslationAccel):
             "guessed_pages": sum(len(r._guesses) for r in self.resolvers),
         }
 
-    def hardware_cost(self) -> HardwareCostReport:
+    @classmethod
+    def hardware_cost(cls, machine: "MachineParams", rows: int,
+                      ways: int) -> HardwareCostReport:
         return revelator_cost()

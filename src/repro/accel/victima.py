@@ -25,13 +25,14 @@ data caches themselves:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from ..core.hwcost import HardwareCostReport, victima_cost
+from ..sim.frontend import LookupFrontend
 from .base import SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sim.frontend import LookupFrontend
+    from ..params import MachineParams
 
 
 class _VictimaResolver:
@@ -79,24 +80,19 @@ class VictimaAccel(TranslationAccel):
         super().__init__(engine)
         self.resolvers: List[_VictimaResolver] = []
 
-    def build_frontends(self) -> "List[LookupFrontend]":
-        from ..sim.frontend import make_frontend  # avoid an import cycle
+    def build_frontends(self) -> List[LookupFrontend]:
         config = self.config
-        ctx = self.engine.ctx
         probe = config.accel_probe_cycles
         if probe is None:
             probe = config.machine.l2.latency
         fill = config.machine.l2.latency
-        frontends = []
-        for core in ctx.cores:
+        for core in self.engine.ctx.cores:
             resolver = _VictimaResolver(
                 config.effective_accel_rows, config.accel_ways,
                 probe_cycles=probe, fill_cycles=fill)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
-            frontends.append(
-                make_frontend("baseline", ctx, self.engine.index))
-        return frontends
+        return super().build_frontends()
 
     def report(self) -> dict:
         return {
@@ -108,10 +104,11 @@ class VictimaAccel(TranslationAccel):
             "occupancy": sum(r.table.occupancy for r in self.resolvers),
         }
 
-    def hardware_cost(self) -> HardwareCostReport:
-        machine = self.config.machine
+    @classmethod
+    def hardware_cost(cls, machine: "MachineParams", rows: int,
+                      ways: int) -> HardwareCostReport:
         return victima_cost(
             l2_lines=machine.l2.num_lines,
             l3_lines=machine.l3.num_lines,
-            ways=self.config.accel_ways,
+            ways=ways,
         )

@@ -77,7 +77,8 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .core.hwcost import accel_hardware_cost, hardware_cost, kv_accel_cost
+from .accel import DESIGNS
+from .core.hwcost import hardware_cost, kv_accel_cost
 from .errors import (
     AddressError,
     AllocationError,
@@ -113,9 +114,9 @@ from .exp import (
     sweep_summary,
 )
 from .hetero.fleet import parse_node_types
+from .params import DEFAULT_MACHINE
 from .sim.breakdown import run_breakdown
 from .sim.config import (
-    ACCELS,
     DISPATCH_POLICIES,
     DISTRIBUTIONS,
     FRONTENDS,
@@ -159,11 +160,8 @@ def exit_code_for(exc: ReproError) -> int:
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--program", choices=PROGRAMS,
                         default="unordered_map")
-    parser.add_argument("--frontend", choices=FRONTENDS, default="stlt")
-    parser.add_argument("--accel", choices=ACCELS, default="none",
-                        help="translation-acceleration backend "
-                             "(repro.accel); requires --frontend "
-                             "baseline for non-'none' values")
+    parser.add_argument("--frontend", choices=FRONTENDS, default="stlt",
+                        help="translation design (repro.accel)")
     parser.add_argument("--accel-rows", type=int, default=None,
                         help="accel table sets (victima/pcax); default "
                              "sized to the workload's page footprint")
@@ -220,10 +218,6 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         stlt_rows=args.stlt_rows,
         stlt_ways=args.stlt_ways,
         fast_hash=args.fast_hash,
-        # translation-accel knobs; forced to "none" when a comparison
-        # baseline config is being derived (frontend="baseline")
-        accel=(getattr(args, "accel", "none")
-               if frontend is None else "none"),
         accel_rows=getattr(args, "accel_rows", None),
         accel_ways=getattr(args, "accel_ways", 4),
         accel_probe_cycles=getattr(args, "accel_probe_cycles", None),
@@ -308,16 +302,17 @@ def _print_result(result: RunResult) -> None:
                   f"{core.cycles_per_op:.1f} cycles/op{miss}")
 
 
+def _compare_to_baseline(args: argparse.Namespace) -> bool:
+    """Whether to also run the baseline design for a speedup."""
+    return args.compare_baseline and args.frontend != "baseline"
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    # an accel run counts as accelerated even though its frontend is
-    # "baseline"; the comparison baseline disables both axes
-    accelerated = (args.frontend != "baseline"
-                   or getattr(args, "accel", "none") != "none")
     if args.json:
         result = run_experiment(config)
         record = make_record(config, result)
-        if args.compare_baseline and accelerated:
+        if _compare_to_baseline(args):
             base_config = _config_from_args(args, "baseline")
             baseline = run_experiment(base_config)
             record["baseline"] = make_record(base_config, baseline)
@@ -326,7 +321,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     result = run_experiment(config)
     _print_result(result)
-    if args.compare_baseline and accelerated:
+    if _compare_to_baseline(args):
         baseline = run_experiment(_config_from_args(args, "baseline"))
         print(f"baseline      : {baseline.cycles_per_op:.1f} cycles/op")
         print(f"speedup       : {speedup(baseline, result):.2f}x")
@@ -409,7 +404,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     if args.json:
         record = make_record(config, result)
-        if args.compare_baseline and args.frontend != "baseline":
+        if _compare_to_baseline(args):
             base_config = _config_from_args(args, "baseline")
             baseline = run_experiment(base_config)
             record["baseline"] = make_record(base_config, baseline)
@@ -419,7 +414,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"configuration : {result.label}")
     print(f"cycles/op     : {result.cycles_per_op:.1f}")
     _print_chaos_telemetry(result.chaos or {})
-    if args.compare_baseline and args.frontend != "baseline":
+    if _compare_to_baseline(args):
         baseline = run_experiment(_config_from_args(args, "baseline"))
         print(f"baseline      : {baseline.cycles_per_op:.1f} cycles/op "
               f"(same churn)")
@@ -661,8 +656,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hwcost(args: argparse.Namespace) -> int:
-    # Table I first — the paper's own design — then the rival
-    # backends' per-design budgets for the head-to-head comparison.
+    # Table I first — the paper's own design — then every other
+    # design's budget at the Table III machine with 4096-set tables.
     report = hardware_cost()
     print("stlt (Table I)")
     for component, bits in report.rows():
@@ -677,12 +672,12 @@ def cmd_hwcost(args: argparse.Namespace) -> int:
         print(f"  total bytes: {node.total_bytes}")
     if not getattr(args, "all_accels", False):
         return 0
-    for accel in ACCELS:
-        if accel in ("none", "stlt"):
+    for name, design in DESIGNS.items():
+        if name == "stlt":
             continue
-        rival = accel_hardware_cost(accel)
+        rival = design.hardware_cost(DEFAULT_MACHINE, rows=4096, ways=4)
         print()
-        print(accel)
+        print(name)
         for component, bits in rival.rows():
             print(f"  {component:<22} {bits:>7} bits")
         print(f"  total bytes: {rival.total_bytes}")
@@ -898,8 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hwcost", help="Table I hardware cost accounting")
     hwcost_parser.add_argument(
         "--all-accels", action="store_true",
-        help="also print per-backend budgets for the rival "
-             "translation accels (victima, pcax, revelator)")
+        help="also print the budget of every other translation "
+             "design (0 for the software-only ones)")
     hwcost_parser.add_argument(
         "--kv-accel", action="store_true",
         help="also print the KV-lookup accelerator node budget "

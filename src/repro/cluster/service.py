@@ -552,6 +552,9 @@ def simulate_cluster(
     counters = {"eager_repairs": 0, "lost_reads": 0, "loss_events": 0,
                 "hedges": 0, "hedge_wins": 0, "post_promotion_moved": 0}
     loss_window: List[int] = []
+    #: (accelerator node, key id) copies installed from a node lacking
+    #: the key's latest acked value
+    stale_copies: Set[Tuple[int, int]] = set()
 
     def _mark_loss(keys_lost: int) -> None:
         if keys_lost <= 0:
@@ -571,10 +574,14 @@ def simulate_cluster(
         return (node not in failover.crashed
                 and node not in failover.isolated)
 
+    def _live_holder(holders: Set[int]) -> bool:
+        return any(_can_sync_from(node) for node in holders)
+
     def _owner_changed(slot: int, old: int, new: int) -> None:
         # data: re-replicate the slot's acked keys onto the new regime
         # when the data can actually get there (the heir already holds
-        # a copy, or the old owner can ship it)
+        # a copy, or the old owner can ship it — an accelerator owner
+        # holds none, so its slot ships from a live holder behind it)
         keys = slot_keys.get(slot)
         if keys:
             # durable copies live on the write authority + replicas;
@@ -582,12 +589,14 @@ def simulate_cluster(
             # a mixed one it excludes accelerator primaries (their
             # on-chip memory is a cache, never a copy of record)
             durable = topology.durable_set(slot)
+            from_accel = hetero and topology.is_accel(old)
             for key in keys:
                 holders = acked[key].holders
                 if not holders:
                     continue
-                if new in holders or (old in holders
-                                      and _can_sync_from(old)):
+                if new in holders or (
+                        _live_holder(holders) if from_accel
+                        else old in holders and _can_sync_from(old)):
                     holders.clear()
                     holders.update(durable)
         # routes: the eager-repair broadcast pushes the new owner into
@@ -644,12 +653,15 @@ def simulate_cluster(
                 durable: Optional[Set[int]] = None
                 # the node driving the re-sync is the one serving the
                 # slot's writes: the primary, or (mixed fleets) the
-                # accelerator primary's full-class backer
+                # accelerator primary's full-class backer — which a
+                # change of the full set can move to a node holding no
+                # copy yet; it then syncs from a live holder
                 authority = (topology.write_authority(slot) if hetero
                              else topology.owner(slot))
                 for key in keys:
                     holders = acked[key].holders
-                    if authority in holders:
+                    if authority in holders or (
+                            hetero and _live_holder(holders)):
                         if durable is None:
                             durable = topology.durable_set(slot)
                         holders.clear()
@@ -841,6 +853,14 @@ def simulate_cluster(
                 server = servers[serve_node]
                 completion = server.serve(t)
                 accel.install(completion, key)
+                # the copy is as good as its source: writes invalidate
+                # it, so only an install from a node lacking the latest
+                # acked value makes the accelerator's later hits lost
+                record = acked.get(key_id)
+                if record is not None and backer not in record.holders:
+                    stale_copies.add((accel.node_id, key_id))
+                else:
+                    stale_copies.discard((accel.node_id, key_id))
         else:
             if hetero:
                 hetero_counters["capability_checks"] += 1
@@ -944,8 +964,15 @@ def simulate_cluster(
                     # whatever copy the accelerator still serves
                     srv.invalidate(delivery, key_bytes(key_id))
         else:
-            record = acked.get(key_id)
-            if record is not None and serve_node not in record.holders:
+            if hetero and topology.is_accel(serve_node):
+                # an accelerator is never a holder: its hit is judged
+                # by the source its copy was installed from
+                lost = (serve_node, key_id) in stale_copies
+            else:
+                record = acked.get(key_id)
+                lost = (record is not None
+                        and serve_node not in record.holders)
+            if lost:
                 # a legal route served a key whose latest acked value
                 # it does not hold — reading inside a data-loss window
                 counters["lost_reads"] += 1

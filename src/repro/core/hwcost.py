@@ -63,7 +63,7 @@ def hardware_cost(
 
 
 # ----------------------------------------------------------------------
-# rival translation accelerators (repro.accel) — Table-1-style budgets
+# rival translation designs (repro.accel) — Table-1-style budgets
 # ----------------------------------------------------------------------
 
 PFN_BITS = PA_BITS - PAGE_OFFSET_BITS  # 32
@@ -139,20 +139,3 @@ def kv_accel_cost(capacity_keys: int = 4096,
         }
     )
 
-
-def accel_hardware_cost(accel: str, *, accel_rows: int = 4096,
-                        accel_ways: int = 4,
-                        l2_lines: int = 4096,
-                        l3_lines: int = 32768) -> HardwareCostReport:
-    """Per-backend hardware budget for the repro.accel head-to-head."""
-    if accel == "stlt":
-        return hardware_cost()
-    if accel == "victima":
-        return victima_cost(l2_lines, l3_lines, ways=accel_ways)
-    if accel == "pcax":
-        return pcax_cost(accel_rows, ways=accel_ways)
-    if accel == "revelator":
-        return revelator_cost()
-    if accel == "none":
-        return HardwareCostReport(components={})
-    raise ValueError(f"unknown accel {accel!r}")

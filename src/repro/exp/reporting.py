@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+from ..sim.config import FRONTENDS
 from ..sim.results import RunResult, format_table
 from ..svc.histogram import LatencyHistogram
 
@@ -120,8 +121,8 @@ def metrics_from_record(record: dict) -> dict:
             result, "hetero", "cost_normalized_throughput"),
         "capability_violations": _cluster_field(result, "hetero",
                                                 "capability_violations"),
-        # translation-accel lab (repro.accel): the backend's telemetry
-        # dict, or None for unaccelerated runs
+        # the translation design's telemetry dict (repro.accel), or
+        # None for a design that keeps no counters of its own
         "accel": result.accel,
     }
 
@@ -257,17 +258,6 @@ def _group_key(config: dict) -> Tuple:
     )
 
 
-def _design_of(config: dict) -> str:
-    """The design a record represents: its frontend, or — for runs in
-    the translation-accel lab — its ``accel`` backend (those all run
-    on the baseline frontend, which would otherwise hide them among
-    the true baselines)."""
-    accel = config.get("accel", "none")
-    if accel and accel != "none":
-        return f"accel-{accel}"
-    return config.get("frontend", "?")
-
-
 def speedup_table(records: Iterable[dict]) -> str:
     """Paper-style speedups: every run vs the matching baseline run.
 
@@ -280,7 +270,7 @@ def speedup_table(records: Iterable[dict]) -> str:
     for record in records:
         config = record.get("config", {})
         group = groups.setdefault(_group_key(config), {})
-        group.setdefault(_design_of(config), []).append(record)
+        group.setdefault(config.get("frontend", "?"), []).append(record)
 
     rows: List[List[str]] = []
     for key in sorted(groups, key=repr):
@@ -308,30 +298,25 @@ def speedup_table(records: Iterable[dict]) -> str:
     return format_table(["program", "run", "cycles/op", "speedup"], rows)
 
 
-#: display order of the head-to-head designs (baseline anchor first)
-_ACCEL_ORDER = ("baseline", "accel-stlt", "accel-victima",
-                "accel-pcax", "accel-revelator")
 
 
 def accel_table(records: Iterable[dict]) -> str:
-    """The five-design translation-accel head-to-head.
+    """The translation-design head-to-head.
 
     One row per design per workload group: cycles/op, speedup against
     the unaccelerated baseline of the *same* seeded workload, the
     page-walk and L2-TLB-miss reductions (the translation story), the
-    design's own telemetry hit count (STLT fast hits surface through
-    ``fast_miss_rate``; victima/pcax report probe hits; revelator
-    correct speculations), and the oracle verdict — every design runs
+    design's own telemetry hit count (key-level fast hits surface
+    through ``fast_miss_rate``; victima/pcax report probe hits;
+    revelator correct speculations), and the oracle verdict — every design runs
     with the stale-translation oracle armed, so "OK" means zero stale
     reads, not "unchecked".
     """
     groups: Dict[Tuple, Dict[str, dict]] = {}
     for record in records:
         config = record.get("config", {})
-        design = _design_of(config)
-        if design not in _ACCEL_ORDER:
-            continue
-        groups.setdefault(_group_key(config), {})[design] = record
+        groups.setdefault(_group_key(config), {})[
+            config.get("frontend")] = record
 
     rows: List[List[str]] = []
     for key in sorted(groups, key=repr):
@@ -343,7 +328,7 @@ def accel_table(records: Iterable[dict]) -> str:
             # a lone unaccelerated run is not a head-to-head
             continue
         base = metrics_from_record(base_record)
-        for design in _ACCEL_ORDER:
+        for design in FRONTENDS:
             record = group.get(design)
             if record is None:
                 continue
@@ -353,11 +338,10 @@ def accel_table(records: Iterable[dict]) -> str:
             walks = _reduction(base["page_walks"], metrics["page_walks"])
             tlb = _reduction(base["tlb_misses"], metrics["tlb_misses"])
             accel = metrics.get("accel") or {}
-            if design == "accel-stlt":
-                fmr = metrics.get("fast_miss_rate")
-                hits = ("-" if fmr is None
-                        else f"fast hit {1.0 - fmr:.0%}")
-            elif design == "accel-revelator":
+            fmr = metrics.get("fast_miss_rate")
+            if fmr is not None:
+                hits = f"fast hit {1.0 - fmr:.0%}"
+            elif design == "revelator":
                 hits = (f"spec {accel.get('spec_hits', 0)}/"
                         f"{accel.get('spec_misses', 0)}mis")
             elif accel:
@@ -368,7 +352,7 @@ def accel_table(records: Iterable[dict]) -> str:
             oracle = "OK" if not violations else f"{violations} VIOLATIONS"
             rows.append([
                 str(key[0]),
-                design.replace("accel-", ""),
+                design,
                 f"{metrics['cycles_per_op']:.1f}",
                 f"{ratio:.2f}x",
                 f"{walks:+.0%}",

@@ -469,24 +469,24 @@ def _failover_points() -> List[SweepPoint]:
     return spec.expand()
 
 
-#: the five design points of the translation-accel head-to-head
-#: ("Fig. 11 for five designs"): the unaccelerated baseline plus the
-#: four repro.accel backends, all on the baseline frontend
+#: the five design points of the translation-design head-to-head
+#: ("Fig. 11 for five designs"): the unaccelerated baseline, the
+#: paper's STLT and the three rival repro.accel designs
 ACCEL_SWEEP_DESIGNS: Tuple[str, ...] = (
-    "none", "stlt", "victima", "pcax", "revelator")
+    "baseline", "stlt", "victima", "pcax", "revelator")
 
 
 def _accel_points() -> List[SweepPoint]:
-    """Translation-accel head-to-head: five designs, one workload.
+    """Translation-design head-to-head: five designs, one workload.
 
     Every design point runs the *identical* seeded workload (same keys,
-    same op stream, same memory system) on the baseline frontend with a
-    different ``accel`` backend attached — the comparison no single
-    paper contains, under one simulator.  The footprint deliberately
-    outgrows the L2 TLB's reach so the translation path is actually
-    exercised: the STLT shows its key-level fast path, victima/pcax
-    their walk elision, revelator its hidden walk latency.  The
-    stale-translation oracle is armed in every run, so a backend that
+    same op stream, same memory system) with a different ``frontend``
+    design — the comparison no single paper contains, under one
+    simulator.  The footprint deliberately outgrows the L2 TLB's reach
+    so the translation path is actually exercised: the STLT shows its
+    key-level fast path, victima/pcax their walk elision, revelator its
+    hidden walk latency.  The
+    stale-translation oracle is armed in every run, so a design that
     ever served a stale translation would fail the sweep, not skew it
     (:func:`repro.exp.reporting.accel_table`).
     """
@@ -496,9 +496,9 @@ def _accel_points() -> List[SweepPoint]:
     spec = SweepSpec(
         name="accel",
         base=dict(num_keys=num_keys, measure_ops=measure_ops,
-                  program="redis", frontend="baseline"),
+                  program="redis"),
         grid={
-            "accel": list(ACCEL_SWEEP_DESIGNS),
+            "frontend": list(ACCEL_SWEEP_DESIGNS),
         },
     )
     return spec.expand()
@@ -574,7 +574,7 @@ _BUILTIN: Dict[str, Tuple[Callable[[], List[SweepPoint]], str]] = {
         "oracle"),
     "accel": (
         _accel_points,
-        "translation-accel head-to-head: baseline vs stlt/victima/"
+        "translation-design head-to-head: baseline vs stlt/victima/"
         "pcax/revelator"),
     "hetero": (
         _hetero_points,

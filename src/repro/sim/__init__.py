@@ -13,7 +13,6 @@ from .frontend import (
     SLBFrontend,
     STLTFrontend,
     SoftwareSTLTFrontend,
-    make_frontend,
 )
 from .multicore import MultiCoreEngine, MultiCoreRunResult
 from .results import (
@@ -34,7 +33,6 @@ __all__ = [
     "STLTFrontend",
     "SoftwareSTLTFrontend",
     "aggregate_run_results",
-    "make_frontend",
     "reduction",
     "run_experiment",
     "speedup",

@@ -22,12 +22,9 @@ from typing import Dict, List, Optional
 
 from ..chaos.oracle import StaleTranslationOracle
 from ..chaos.report import build_chaos_report
-from ..core.ipb import IPB
 from ..core.os_interface import OSInterface
-from ..core.stlt import STLT
 from ..core.stu import STU
 from ..errors import KVSError
-from ..hashes.registry import get_hash
 from ..kvs import make_index
 from ..kvs.base import SimContext
 from ..kvs.records import Record
@@ -40,7 +37,7 @@ from ..mem.prefetch import (
 from ..slb.slb import SLBCache
 from ..workloads.keys import key_bytes
 from .config import RunConfig
-from .frontend import LookupFrontend, make_frontend
+from .frontend import LookupFrontend
 from .results import RunResult
 
 
@@ -78,14 +75,15 @@ class Engine:
         self.records: List[Record] = []
         self._populate()
 
-        #: per-core STUs (stlt/stlt_va front-ends only; None otherwise)
+        #: per-core STUs (stlt/stlt_va designs only; None otherwise)
         self.stus: List[Optional[STU]] = [None] * config.num_cores
         self.osi: Optional[OSInterface] = None
         self.slb: Optional[SLBCache] = None
-        #: translation-acceleration backend (repro.accel), None when
-        #: config.accel == "none"; set by _build_frontends
-        self.accel = None
-        self.frontends: List[LookupFrontend] = self._build_frontends()
+        #: the run's translation design (repro.accel): one front-end
+        #: per core over the design's shared fast table, if it has one
+        from ..accel import DESIGNS  # avoid an import cycle
+        self.design = DESIGNS[config.frontend](self)
+        self.frontends: List[LookupFrontend] = self.design.build_frontends()
         #: compatibility aliases: core 0's view
         self.frontend = self.frontends[0]
         self.stu = self.stus[0]
@@ -96,7 +94,10 @@ class Engine:
         self.oracle = StaleTranslationOracle(self.ctx.records,
                                              self.ctx.space)
         if config.prefill:
-            self._prefill_fast_tables()
+            # stands in for the paper's 80 M-operation warm-up; the
+            # timed warm-up still churns the table, so measured miss
+            # rates reflect capacity and conflicts, not cold start
+            self.design.prefill(self.records)
 
     # ------------------------------------------------------------------
     # construction
@@ -112,97 +113,6 @@ class Engine:
                 record = self.ctx.records.create(key, config.value_size)
                 self.index.build_insert(key, record)
             self.records.append(record)
-
-    def _build_frontends(self) -> List[LookupFrontend]:
-        """One front-end per core over the shared fast-path tables.
-
-        Shared: the STLT (+ IPB, via one :class:`OSInterface` spanning
-        every core's STU), the SLB tables, and the STLT-SW user-memory
-        table.  Private: each core's STU (STB, insertion buffer, SPTW)
-        and the front-end's hit counters.
-        """
-        config = self.config
-        kind = config.frontend
-        ctx = self.ctx
-        if config.accel != "none":
-            # the pluggable translation-acceleration lab: the backend
-            # builds the per-core front-ends and attaches its resolvers
-            # (accel=stlt reconstructs the legacy stlt branch verbatim
-            # and re-exports self.stus / self.osi — golden-pinned)
-            from ..accel import make_accel  # avoid an import cycle
-            self.accel = make_accel(config.accel, self)
-            return self.accel.build_frontends()
-        fast_hash = get_hash(config.fast_hash)
-        if kind == "baseline":
-            return [make_frontend("baseline", ctx, self.index)
-                    for _ in range(config.num_cores)]
-        if kind == "slb":
-            self.slb = SLBCache(
-                ctx.space, ctx.cores[0].mem,
-                num_entries=config.effective_slb_entries,
-                fast_hash=fast_hash,
-            )
-            return [make_frontend("slb", ctx, self.index, slb=self.slb)
-                    for _ in range(config.num_cores)]
-        if kind in ("stlt", "stlt_va"):
-            shared_ipb = IPB()
-            self.stus = [
-                STU(core.mem, va_only=(kind == "stlt_va"), ipb=shared_ipb)
-                for core in ctx.cores
-            ]
-            self.osi = OSInterface(ctx.space, ctx.cores[0].mem, self.stus)
-            self.osi.stlt_alloc(config.effective_stlt_rows,
-                                ways=config.stlt_ways)
-            return [
-                make_frontend(kind, ctx, self.index,
-                              stu=stu, fast_hash=fast_hash)
-                for stu in self.stus
-            ]
-        if kind == "stlt_sw":
-            rows = config.effective_stlt_rows
-            table = STLT(rows, ways=config.stlt_ways)
-            table_va = ctx.space.alloc_region(rows * 16)
-            return [
-                make_frontend("stlt_sw", ctx, self.index,
-                              table=table, table_va=table_va,
-                              fast_hash=fast_hash)
-                for _ in range(config.num_cores)
-            ]
-        raise KVSError(f"unhandled frontend {kind!r}")
-
-    def _prefill_fast_tables(self) -> None:
-        """Untimed steady-state prefill of the STLT / SLB / SW table.
-
-        The paper warms up on 80 M operations before measuring; replaying
-        that many operations is not affordable at simulation scale, so the
-        build step installs every live key into the fast-path table the
-        way that many operations eventually would.  The timed warm-up
-        that follows still churns the tables (replacements, counters,
-        conflicts), so measured miss rates reflect capacity and conflict
-        behaviour rather than cold-start artifacts.  The tables are
-        shared, so one prefill serves every core.
-        """
-        config = self.config
-        fast_hash = get_hash(config.fast_hash)
-        from ..core.row import make_pte  # local import avoids a cycle
-
-        stlt = self.stu.stlt if self.stu is not None else None
-        table = getattr(self.frontend, "table", None)
-        page_table = self.ctx.space.page_table
-        for record in self.records:
-            integer = fast_hash(record.key)
-            if stlt is not None:
-                pfn = page_table.lookup(record.va >> 12)
-                pte = 0 if self.stu.va_only or pfn is None else make_pte(pfn)
-                stlt.insert(integer, record.va, pte)
-            elif table is not None:  # stlt_sw: VAs only
-                table.insert(integer, record.va, 0)
-            elif self.slb is not None:
-                self.slb.prefill(integer, record.va)
-        if stlt is not None:
-            stlt.reset_stats()
-        if table is not None:
-            table.reset_stats()
 
     # ------------------------------------------------------------------
     # core binding
@@ -247,8 +157,7 @@ class Engine:
             result.service = service.to_dict()
         if mc.injector is not None:
             result.chaos = build_chaos_report(self, mc.injector)
-        if self.accel is not None:
-            result.accel = self.accel.report()
+        result.accel = self.design.report()
         return result
 
     # ------------------------------------------------------------------
@@ -312,32 +221,6 @@ class Engine:
         stale VAs fail semantic validation everywhere.
         """
         self.frontends[self.ctx.active_core].on_record_moved(record, old_va)
-
-    # ------------------------------------------------------------------
-    # table introspection
-    # ------------------------------------------------------------------
-
-    def fast_occupancy(self) -> Optional[int]:
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.occupancy
-        table = getattr(self.frontend, "table", None)
-        if table is not None:
-            return table.occupancy
-        return None
-
-    def fast_table_bytes(self) -> Optional[int]:
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.size_bytes
-        if self.slb is not None:
-            return self.slb.size_bytes
-        table = getattr(self.frontend, "table", None)
-        if table is not None:
-            return table.size_bytes
-        return None
-
-    # old private spellings, kept for external callers
-    _fast_occupancy = fast_occupancy
-    _fast_table_bytes = fast_table_bytes
 
 
 def run_experiment(config: RunConfig) -> RunResult:

@@ -26,7 +26,6 @@ import abc
 from typing import Callable, Optional
 
 from ..core.stu import STU
-from ..errors import ConfigError
 from ..hashes.registry import HashSpec
 from ..kvs.base import Index, SimContext
 from ..kvs.records import RECORD_HEADER_BYTES, Record
@@ -244,22 +243,3 @@ class SoftwareSTLTFrontend(LookupFrontend):
 
     def on_record_moved(self, record: Record, old_va: int) -> None:
         self.table.invalidate_va(old_va)
-
-
-def make_frontend(kind: str, ctx: SimContext, index: Index, **kwargs):
-    """Build a front-end by config name."""
-    if kind == "baseline":
-        return BaselineFrontend(ctx, index)
-    if kind == "slb":
-        return SLBFrontend(ctx, index, kwargs["slb"])
-    if kind in ("stlt", "stlt_va"):
-        return STLTFrontend(
-            ctx, index, kwargs["stu"], kwargs["fast_hash"],
-            integer_transform=kwargs.get("integer_transform"),
-        )
-    if kind == "stlt_sw":
-        return SoftwareSTLTFrontend(
-            ctx, index, kwargs["table"], kwargs["table_va"],
-            kwargs["fast_hash"],
-        )
-    raise ConfigError(f"unknown frontend kind {kind!r}")

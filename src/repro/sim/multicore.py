@@ -94,11 +94,10 @@ class _CoreRunState:
         measured_gets = self.frontend.gets - self.gets_at_mark
         measured_hits = self.frontend.fast_hits - self.fast_hits_at_mark
         fast_miss_rate = None
-        # accel=stlt runs real STLT front-ends under frontend="baseline";
-        # the translation-level backends (victima/pcax/revelator) have no
-        # key-level fast path, so their rate stays None like baseline's
-        if measured_gets and (config.frontend != "baseline"
-                              or config.accel == "stlt"):
+        # baseline and the translation-level designs (victima/pcax/
+        # revelator) have no key-level fast path: their rate stays None
+        design = self.engine.design
+        if measured_gets and design.key_level:
             fast_miss_rate = 1.0 - measured_hits / measured_gets
         if num_cores == 1:
             label: str = config.label
@@ -116,8 +115,8 @@ class _CoreRunState:
             mem=delta,
             attr=attr,
             fast_miss_rate=fast_miss_rate,
-            fast_occupancy=self.engine.fast_occupancy(),
-            fast_table_bytes=self.engine.fast_table_bytes(),
+            fast_occupancy=design.fast_occupancy(),
+            fast_table_bytes=design.fast_table_bytes(),
             core_id=core_id,
         )
 

@@ -55,9 +55,11 @@ class RunResult:
     #: (:func:`repro.chaos.report.build_chaos_report` — injector event
     #: counters, IPB/scrub statistics, zero-violation oracle verdict)
     chaos: Optional[dict] = None
-    #: accelerated runs only (``config.accel != "none"``): the backend's
-    #: telemetry (:meth:`repro.accel.base.TranslationAccel.report` —
-    #: probe/hit/fill/eviction counters, speculation verdict counts)
+    #: the translation design's own telemetry
+    #: (:meth:`repro.accel.base.TranslationAccel.report` — STLT rows,
+    #: scrubs and STB probes; rival probe/hit/fill/eviction counters,
+    #: speculation verdict counts); None for the designs that keep no
+    #: counters of their own (baseline, slb, stlt_sw)
     accel: Optional[dict] = None
     #: cluster runs only: the fleet-level outcome
     #: (:class:`repro.cluster.service.ClusterResult` as a plain dict —

@@ -1,17 +1,16 @@
-"""The translation-accel framework: golden identity, rivals, churn.
+"""The translation-design registry: golden identity, rivals, churn.
 
 The contract (DESIGN.md section 12):
 
-* ``accel=stlt`` is the pre-refactor ``frontend="stlt"`` machinery
-  behind the :class:`~repro.accel.base.TranslationAccel` interface —
-  pinned *bit-identical* to ``tests/data/golden_smoke.json``, as is
-  ``accel=none`` with the baseline frontend;
-* every rival backend (victima / pcax / revelator) is deterministic
-  per seed and **oracle-clean under OS churn**: a stale
-  translation is charged as a misspeculation or invalidated, never
-  served;
-* the config axis is validated, labelled, content-hashed, and carries
-  a per-backend hardware-cost report.
+* the legacy ``accel=stlt`` / ``accel=none`` spellings build the
+  ``stlt`` / ``baseline`` designs, pinned *bit-identical* to
+  ``tests/data/golden_smoke.json``;
+* every rival design (victima / pcax / revelator) is deterministic
+  per seed, and every design is **oracle-clean under OS churn**: a
+  stale translation is charged as a misspeculation or invalidated,
+  never served;
+* the design axis is validated, labelled, content-hashed, and every
+  design carries a hardware-cost report.
 """
 
 import dataclasses
@@ -21,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.accel import ACCEL_BACKENDS, make_accel
-from repro.core.hwcost import accel_hardware_cost
+from repro.accel import DESIGNS
 from repro.errors import ConfigError
-from repro.sim.config import ACCELS, RunConfig, config_hash
+from repro.params import DEFAULT_MACHINE, SCALED_MACHINE
+from repro.sim.config import FRONTENDS, RunConfig, config_hash
 from repro.sim.engine import Engine, run_experiment
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / \
@@ -41,7 +40,7 @@ def golden():
 
 
 class TestGoldenBitIdentity:
-    """The refactor seam: accel=stlt / accel=none vs. the golden run."""
+    """The legacy spelling: accel=stlt / accel=none vs. the golden run."""
 
     @pytest.mark.parametrize("program", ["unordered_map", "btree"])
     def test_accel_stlt_matches_golden_stlt(self, program):
@@ -74,7 +73,7 @@ class TestGoldenBitIdentity:
                 f"{program}: accel=none drifted on {counter}")
 
     def test_accel_stlt_carries_stlt_telemetry(self):
-        config = RunConfig(frontend="baseline", accel="stlt", **SMOKE)
+        config = RunConfig(frontend="stlt", **SMOKE)
         result = run_experiment(config)
         assert result.accel is not None
         assert result.accel["accel"] == "stlt"
@@ -87,8 +86,7 @@ class TestRivalBackends:
 
     @pytest.mark.parametrize("accel", RIVALS)
     def test_backend_is_exercised_past_tlb_reach(self, accel):
-        config = RunConfig(program="redis", frontend="baseline",
-                           accel=accel, **BIG)
+        config = RunConfig(program="redis", frontend=accel, **BIG)
         result = run_experiment(config)
         telemetry = result.accel
         assert telemetry is not None and telemetry["accel"] == accel
@@ -104,21 +102,19 @@ class TestRivalBackends:
         assert again.accel == telemetry
 
     def test_victima_and_pcax_reduce_walks(self):
-        base = RunConfig(program="redis", frontend="baseline",
-                         accel="none", **BIG)
+        base = RunConfig(program="redis", frontend="baseline", **BIG)
         walks = run_experiment(base).page_walks
         assert walks > 0
         for accel in ("victima", "pcax"):
             accelerated = run_experiment(
-                dataclasses.replace(base, accel=accel))
+                dataclasses.replace(base, frontend=accel))
             assert accelerated.page_walks < walks, accel
 
     def test_revelator_walks_functionally_but_hides_latency(self):
-        base = RunConfig(program="redis", frontend="baseline",
-                         accel="none", **BIG)
+        base = RunConfig(program="redis", frontend="baseline", **BIG)
         none_result = run_experiment(base)
         rev = run_experiment(
-            dataclasses.replace(base, accel="revelator"))
+            dataclasses.replace(base, frontend="revelator"))
         # every walk still happens (validation requires the real PTE)
         assert rev.page_walks == none_result.page_walks
         # but correct speculation hides the walk latency
@@ -126,24 +122,23 @@ class TestRivalBackends:
 
 
 class TestChurnOracle:
-    """OS churn against every backend: stale translations must be
+    """OS churn against every design: stale translations must be
     charged or invalidated, never served — zero oracle violations."""
 
-    CHURN = dict(program="redis", frontend="baseline", churn_rate=0.05,
+    CHURN = dict(program="redis", churn_rate=0.05,
                  num_keys=2_000, measure_ops=600, warmup_ops=1_200)
 
-    @pytest.mark.parametrize("accel", ["none", "stlt", "victima",
-                                       "pcax", "revelator"])
-    def test_zero_violations_under_churn(self, accel):
-        config = RunConfig(accel=accel, **self.CHURN)
+    @pytest.mark.parametrize("design", FRONTENDS)
+    def test_zero_violations_under_churn(self, design):
+        config = RunConfig(frontend=design, **self.CHURN)
         result = run_experiment(config)
         chaos = result.chaos
         assert chaos is not None
-        assert chaos["oracle"]["violations"] == 0, accel
+        assert chaos["oracle"]["violations"] == 0, design
         assert chaos["oracle"]["checks"] > 0
 
     def test_revelator_misspeculates_under_churn_yet_stays_clean(self):
-        config = RunConfig(accel="revelator",
+        config = RunConfig(frontend="revelator",
                            **{**self.CHURN, "num_keys": 20_000})
         result = run_experiment(config)
         telemetry = result.accel
@@ -156,52 +151,81 @@ class TestChurnOracle:
 class TestConfigAxis:
     """Validation, labelling, hashing, registry, hardware cost."""
 
-    def test_accels_tuple_matches_registry(self):
-        assert set(ACCELS) == {"none"} | set(ACCEL_BACKENDS)
+    def test_frontends_tuple_matches_registry(self):
+        assert tuple(DESIGNS) == FRONTENDS
+        for name, design in DESIGNS.items():
+            assert design.name == name
+
+    @pytest.mark.parametrize("design", ("stlt",) + RIVALS)
+    def test_legacy_accel_spelling_is_the_design(self, design):
+        legacy = RunConfig(frontend="baseline", accel=design, **SMOKE)
+        assert legacy == RunConfig(frontend=design, **SMOKE)
+        assert config_hash(legacy) == \
+            config_hash(RunConfig(frontend=design, **SMOKE))
+        assert "accel" not in legacy.to_dict()
+
+    def test_stored_legacy_record_loads(self):
+        stored = RunConfig(**SMOKE).to_dict()
+        stored["accel"] = "victima"  # an old record: baseline + accel
+        assert RunConfig.from_dict(stored) == \
+            RunConfig(frontend="victima", **SMOKE)
 
     def test_non_baseline_frontend_rejected(self):
         for frontend in ("stlt", "slb"):
             with pytest.raises(ConfigError):
                 RunConfig(frontend=frontend, accel="victima", **SMOKE)
 
+    def test_legacy_conflict_exits_with_the_config_code(self):
+        from repro.cli import exit_code_for
+        with pytest.raises(ConfigError) as info:
+            RunConfig(frontend="stlt", accel="pcax", **SMOKE)
+        assert exit_code_for(info.value) == 2
+
     def test_unknown_accel_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(accel="tlbboost", **SMOKE)
-
-    def test_unknown_accel_rejected_by_factory(self):
-        engine = Engine(RunConfig(frontend="baseline", **SMOKE))
         with pytest.raises(ConfigError):
-            make_accel("tlbboost", engine)
+            RunConfig(frontend="tlbboost", **SMOKE)
 
     def test_label_names_the_accel(self):
-        config = RunConfig(frontend="baseline", accel="pcax", **SMOKE)
-        assert "accel-pcax" in config.label
-        plain = RunConfig(frontend="baseline", **SMOKE)
-        assert "accel" not in plain.label
+        config = RunConfig(frontend="pcax", **SMOKE)
+        assert config.label.startswith("unordered_map/pcax/")
+        assert "accel" not in config.label
 
     def test_accel_knobs_reach_the_hash(self):
-        base = RunConfig(frontend="baseline", accel="victima", **SMOKE)
+        base = RunConfig(frontend="victima", **SMOKE)
         assert config_hash(dataclasses.replace(base, accel_ways=8)) != \
             config_hash(base)
-        assert config_hash(dataclasses.replace(base, accel="pcax")) != \
+        assert config_hash(dataclasses.replace(base, frontend="pcax")) != \
             config_hash(base)
 
     def test_knob_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(accel="victima", accel_ways=0, **SMOKE)
+            RunConfig(frontend="victima", accel_ways=0, **SMOKE)
         with pytest.raises(ConfigError):
-            RunConfig(accel="revelator", spec_mispredict_cycles=-1,
+            RunConfig(frontend="revelator", spec_mispredict_cycles=-1,
                       **SMOKE)
 
     @pytest.mark.parametrize("accel", ["stlt", "victima", "pcax",
                                        "revelator"])
     def test_every_backend_reports_hardware_cost(self, accel):
-        report = accel_hardware_cost(accel)
+        report = DESIGNS[accel].hardware_cost(DEFAULT_MACHINE, rows=4096,
+                                              ways=4)
         assert report.total_bytes > 0
         assert any(component == "Total" for component, _ in report.rows())
 
+    @pytest.mark.parametrize("design", ["baseline", "slb", "stlt_sw"])
+    def test_software_designs_cost_no_hardware(self, design):
+        report = DESIGNS[design].hardware_cost(DEFAULT_MACHINE, rows=4096,
+                                               ways=4)
+        assert report.total_bytes == 0
+
     def test_backend_instances_report_cost_too(self):
-        config = RunConfig(frontend="baseline", accel="victima", **SMOKE)
+        config = RunConfig(frontend="victima", **SMOKE)
         engine = Engine(config)
-        assert engine.accel is not None
-        assert engine.accel.hardware_cost().total_bytes > 0
+        assert engine.design.name == "victima"
+        # the per-run budget uses the run's own machine
+        report = engine.design.hardware_cost(
+            config.machine, config.effective_accel_rows, config.accel_ways)
+        assert config.machine == SCALED_MACHINE
+        assert report.total_bytes == 1220

@@ -272,6 +272,22 @@ class TestHeteroRuns:
         assert cluster["failover_violations"] == 0
         assert cluster["hetero"]["capability_violations"] == 0
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_full_node_crash_and_restart_loses_no_reads(self, seed):
+        """The benchmark's fleet-hetero-failover shape at toy size.
+        An accelerator hit serves the copy it installed from a full
+        node, so with no key lost no read may count as lost."""
+        failover = run_cluster(RunConfig(
+            nodes=3, node_types="2full+1accel", replicas=1, num_cores=2,
+            frontend="stlt", num_keys=6_000, measure_ops=300,
+            net_rtt_cycles=300, offered_load=0.2, service_requests=4_000,
+            node_fault_plan=("crash:node=1,at=0.50",
+                             "restart:node=1,at=0.53"),
+            failover_detect_cycles=2_000, cluster_timeout=4, seed=seed,
+        )).cluster["failover"]
+        assert failover["loss_events"] == 0
+        assert failover["lost_reads"] == 0
+
     def test_cost_accounting_in_the_report(self):
         cluster = run_cluster(_mixed()).cluster
         hetero = cluster["hetero"]

@@ -60,7 +60,6 @@ ALTERNATES = {
     "node_types": "1full",
     "hetero_accel_keys": 2048,
     "hetero_big_key_fraction": 0.25,
-    "accel": "stlt",
     "accel_rows": 4096,
     "accel_ways": 8,
     "accel_probe_cycles": 7,

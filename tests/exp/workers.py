@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.accel import DESIGNS
 from repro.mem.stats import MemoryStats
 from repro.sim.config import RunConfig
 from repro.sim.results import RunResult
@@ -24,6 +25,9 @@ _FRONTEND_WEIGHT = {
     "stlt": 1000,
     "stlt_va": 900,
     "stlt_sw": 3000,
+    "victima": 3500,
+    "pcax": 3600,
+    "revelator": 3700,
 }
 
 
@@ -57,7 +61,8 @@ def fake_run(config: RunConfig) -> RunResult:
         sets=1,
         mem=MemoryStats(accesses=config.measure_ops, total_cycles=cycles),
         attr={"index": 600 * config.seed, "value": 400 * config.seed},
-        fast_miss_rate=None if config.frontend == "baseline" else 0.25,
+        fast_miss_rate=(0.25 if DESIGNS[config.frontend].key_level
+                        else None),
         chaos=chaos,
     )
 

@@ -72,7 +72,7 @@ class TestPrefill:
     def test_prefill_installs_every_key_at_build(self, frontend):
         engine = Engine(RunConfig(frontend=frontend, num_keys=200,
                                   measure_ops=60, warmup_ops=120))
-        assert 0 < engine.fast_occupancy() <= 200
+        assert 0 < engine.design.fast_occupancy() <= 200
 
 
 class TestResultContents:

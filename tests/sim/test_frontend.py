@@ -12,7 +12,6 @@ from repro.sim.frontend import (
     SLBFrontend,
     STLTFrontend,
     SoftwareSTLTFrontend,
-    make_frontend,
 )
 from repro.slb.slb import SLBCache
 from repro.workloads.keys import key_bytes
@@ -161,9 +160,3 @@ class TestSoftwareSTLT:
         assert ctx.mem.stats.dtlb_hits + ctx.mem.stats.dtlb_misses \
             > tlb_events_before
 
-
-class TestFactory:
-    def test_unknown_kind(self, ctx):
-        index, _ = build_index(ctx)
-        with pytest.raises(Exception):
-            make_frontend("nope", ctx, index)

@@ -427,6 +427,14 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "speedup" in out and "under" in out
 
+    def test_chaos_compare_baseline_covers_every_design(self, capsys):
+        rc = main(["chaos", "--frontend", "victima", "--churn-rate", "0.01",
+                   "--compare-baseline"] + CHAOS_ARGS)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "baseline      :" in out
+        assert "speedup" in out
+
     def test_chaos_json_record_carries_chaos_payload(self, capsys):
         rc = main(["chaos", "--json", "--frontend", "stlt",
                    "--churn-rate", "0.05"] + CHAOS_ARGS)
