@@ -37,10 +37,12 @@ Modules
 * :mod:`~repro.cluster.failover`  — node-fault injection (crashes,
   partitions, degradation, seeded storms), failure detection, and
   replica promotion (DESIGN.md section 13);
-* :mod:`~repro.cluster.service`   — the cluster event loop and
+* :mod:`~repro.cluster.ledger`    — the write ledger: who holds each
+  acked write, the data behind the acked-write oracle;
+* :mod:`~repro.cluster.service`   — the request lifecycle (route,
+  MOVED, ASK, routing oracle, serve, hedge, ack) and
   :class:`~repro.cluster.service.ClusterResult` (merged latency
-  histograms, per-node fairness, route/redirect/failover telemetry,
-  the routing and acked-write oracles).
+  histograms, per-node fairness, route/redirect/failover telemetry).
 
 Everything is a pure function of ``RunConfig.seed``: node *i* derives
 its engine seed from the ``node{i}`` namespace (node 0 keeps the run

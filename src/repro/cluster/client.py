@@ -68,7 +68,7 @@ class RouteCache:
         self._routes[slot] = node
 
     def invalidate(self, slot: int) -> None:
-        """Drop a route (MOVED received) — the analogue of the IPB
+        """Drop a route (its node timed out) — the analogue of the IPB
         invalidating a buffered vpn's rows."""
         self._routes.pop(slot, None)
 
@@ -154,7 +154,8 @@ class ClusterClient:
     def capability_route(self, slot: int, target: int,
                          topology: ClusterTopology, is_write: bool,
                          oversized: bool) -> int:
-        """Capability-aware pre-route (heterogeneous fleets only).
+        """Capability-aware pre-route (returns ``target`` unchanged on a
+        homogeneous fleet).
 
         Clients know every node's capability descriptor from the
         cluster bus, so when the judged target is an accelerator and
@@ -168,10 +169,7 @@ class ClusterClient:
         """
         if not topology.hetero or not topology.is_accel(target):
             return target
-        if is_write:
-            self.cap_reroutes += 1
-            return topology.write_authority(slot)
-        if oversized:
+        if is_write or oversized:
             self.cap_reroutes += 1
             return topology.backer_of(slot)
         return target
@@ -185,10 +183,18 @@ class ClusterClient:
         return candidates[self.rng.randrange(len(candidates))]
 
     def on_moved(self, slot: int, owner: int) -> None:
-        """A MOVED reply: invalidate the stale row, learn the truth."""
+        """A MOVED reply: overwrite the stale row with the truth."""
         if self.cache is not None:
-            self.cache.invalidate(slot)
             self.cache.learn(slot, owner)
+
+    def push_route(self, slot: int, node: int) -> bool:
+        """Eager repair: a broadcast ownership change installs ``node``
+        as the slot's route, fixing a stale row or restoring one a
+        timeout scrubbed.  True when the row changed."""
+        if self.cache is None or self.cache.lookup(slot) == node:
+            return False
+        self.cache.learn(slot, node)
+        return True
 
     def on_timeout(self, slot: int) -> None:
         """A request against ``slot`` timed out: the contacted node is
@@ -225,9 +231,3 @@ class ClusterClient:
         self._window_node = node
         self._window_left = self.batch - 1
         return True
-
-    def report(self) -> dict:
-        data = {"client": self.client_id, "batch": self.batch}
-        if self.cache is not None:
-            data["route_cache"] = self.cache.report()
-        return data

@@ -286,7 +286,8 @@ class FailoverScheduler:
     # event application
     # ------------------------------------------------------------------
 
-    def _reachable(self, node: int) -> bool:
+    def reachable(self, node: int) -> bool:
+        """Whether ``node`` is alive and outside every partition."""
         return node not in self.crashed and node not in self.isolated
 
     def _apply_crash(self, node: int, now: float) -> bool:
@@ -301,22 +302,27 @@ class FailoverScheduler:
             self.on_crash(node)
         return True
 
+    def _rejoin(self, node: int) -> None:
+        """``node`` is back (restarted, or healed from a partition).
+        Demoted, it rejoins the ring empty of authority, stealing an
+        equal share whose slots sync from their live previous owners —
+        the epoch bump fences any stale pre-outage copy it still has.
+        Back before the failure detector fired, it was never demoted."""
+        if node in self.demoted:
+            self.topology.restart_node(node)
+            self.demoted.discard(node)
+            if self.on_membership_change is not None:
+                self.on_membership_change()
+        elif self._pending.pop(node, None) is not None:
+            self.cancelled_promotions += 1
+
     def _apply_restart(self, node: int, now: float) -> bool:
         if node not in self.crashed:
             return False
         self.crashed.discard(node)
         if node not in self.isolated:
             self.network.heal(self._node_name(node))
-        if node in self.demoted:
-            # rejoin the ring, stealing an equal share back; each
-            # stolen slot syncs from its live previous owner
-            self.topology.restart_node(node)
-            self.demoted.discard(node)
-            if self.on_membership_change is not None:
-                self.on_membership_change()
-        elif self._pending.pop(node, None) is not None:
-            # back before the failure detector fired: never demoted
-            self.cancelled_promotions += 1
+        self._rejoin(node)
         self.events["node_restart"] += 1
         return True
 
@@ -336,18 +342,7 @@ class FailoverScheduler:
         self.isolated.discard(node)
         if node not in self.crashed:
             self.network.heal(self._node_name(node))
-        if node in self.demoted:
-            # demoted behind the partition: its authority is gone (the
-            # slot epochs moved on), so it rejoins like a restart —
-            # empty of authority, stealing a fresh share that syncs
-            # from the live owners.  Its stale pre-partition copies are
-            # fenced by the epoch bump and never served.
-            self.topology.restart_node(node)
-            self.demoted.discard(node)
-            if self.on_membership_change is not None:
-                self.on_membership_change()
-        elif self._pending.pop(node, None) is not None:
-            self.cancelled_promotions += 1
+        self._rejoin(node)
         self.events["link_heal"] += 1
         return True
 

@@ -32,7 +32,7 @@ fired-but-inapplicable accounting).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..chaos.schedule import ChaosSchedule
 from ..params import derive_seed
@@ -53,17 +53,8 @@ class MigrationScheduler:
     def __init__(self, topology: ClusterTopology, migrate_rate: float,
                  seed: int,
                  slot_source: Optional[Callable[[random.Random], int]]
-                 = None,
-                 dst_candidates: Optional[Callable[[], List[int]]]
                  = None) -> None:
         self.topology = topology
-        #: eligible migration destinations; the default is every
-        #: active node.  Heterogeneous fleets restrict this to full
-        #: nodes: an accelerator's key memory is managed by dispatch
-        #: (install on miss, invalidate on write), never by bulk slot
-        #: transfer — and an ASK window must forward to a node that
-        #: can serve *any* op on the slot
-        self._dst_candidates = dst_candidates
         #: the chaos machinery provides event positions: one schedule
         #: draw per request, exactly like the injector's per-slot draws
         self.schedule = ChaosSchedule(migrate_rate, seed)
@@ -115,9 +106,12 @@ class MigrationScheduler:
             self.skipped += 1
             return
         owner = self.topology.owner(slot)
-        pool = (self._dst_candidates() if self._dst_candidates
-                is not None else self.topology.node_ids)
-        others = [n for n in pool if n != owner]
+        # destinations are the active full nodes (every node of a
+        # homogeneous fleet): an accelerator's key memory is managed
+        # by dispatch (install on miss, invalidate on write), never by
+        # bulk slot transfer, and an ASK window must forward to a node
+        # that can serve *any* op on the slot
+        others = [n for n in self.topology.full_nodes() if n != owner]
         if not others:
             self.skipped += 1
             return

@@ -197,15 +197,6 @@ class ClusterNetwork:
             delivery += self.rtt_cycles * lat_mult / 2.0
         return delivery
 
-    def round_trip(self, a: str, b: str, request_bytes: int,
-                   response_bytes: int, at: float,
-                   propagate: bool = True) -> float:
-        """A request/response exchange; returns the response delivery."""
-        arrive = self.one_way(a, b, request_bytes, at, propagate)
-        if math.isinf(arrive):
-            return arrive
-        return self.one_way(b, a, response_bytes, arrive, propagate)
-
     def report(self) -> dict:
         return {
             "rtt_cycles": self.rtt_cycles,

@@ -1,54 +1,34 @@
-"""The cluster event loop and its result record.
+"""The cluster overlay: one request lifecycle over a simulated fleet.
 
-The pipeline (``repro cluster``, the ``scale``/``failover`` sweeps):
+Every node first runs the *full* single-node simulator (an
+:class:`~repro.sim.engine.Engine` under the multi-core interleave,
+capturing per-op service cycles; node 0 keeps the run seed, node *i*
+derives ``node{i}``).  An open-loop arrival process then stamps
+requests at ``offered_load x`` the fleet's aggregate capacity, each a
+read or a write (:data:`WRITE_FRACTION`), and every request runs these
+stages (DESIGN.md section 10), one ``_Overlay`` method each:
 
-1. every node runs the *full* single-node simulator — a
-   :class:`~repro.sim.engine.Engine` under the multi-core interleave
-   with the per-op capture hook armed — yielding each node's measured
-   closed-loop capacity and per-core service-cycle sequences (node 0
-   keeps the run seed verbatim; node *i* derives the ``node{i}``
-   stream, so nodes are independent but the whole fleet is a pure
-   function of one seed);
-2. an open-loop arrival process stamps cluster-wide request times at
-   ``offered_load x`` the fleet's *aggregate* closed-loop capacity;
-3. each request hashes to a slot, draws read-or-write off a dedicated
-   stream (:data:`WRITE_FRACTION`), and a client resolves the slot
-   through its route cache (hit / stale / miss — MOVED redirects on
-   stale or unlucky bootstrap routes, ASK redirects through live
-   migration windows; writes are only acknowledged by the primary),
-   pays the network model for every hop, and is served FIFO by a core
-   of the owning node, charged that node's next captured service time;
-4. end-to-end latency (network + queueing + service) is recorded in
-   the *serving node's* log-bucketed histogram; the per-node
-   histograms merge into the fleet-wide distribution at the end —
-   the same mergeable-histogram machinery :mod:`repro.svc` uses.
+1. route (``_route``): route cache, bootstrap node or capability
+   pre-route, then the contact hop;
+2. MOVED redirect (``_moved``);
+3. ASK forward (``_ask``);
+4. the routing oracle (``_check_route``): the serving node must hold
+   authority over the slot, else :class:`~repro.errors.ClusterError`;
+5. serve (``_serve``): a full node, an accelerator hit, or a capacity
+   miss that falls back to the backer and installs the key;
+6. straggler hedge (``_hedge``);
+7. ack (``_ack``): write ack and invalidation, the lost-read
+   judgement, route learning, and the latency into the serving node's
+   histogram (merged fleet-wide at the end).
 
-Under a ``node_fault_plan`` (DESIGN.md section 13) the loop threads a
-:class:`~repro.cluster.failover.FailoverScheduler` through the same
-per-request cadence as migration: crashed/partitioned nodes drop
-messages, clients survive on per-attempt timeouts with bounded
-exponential-backoff retries and (optionally) cross-node hedged reads
-against replicas — the :class:`~repro.svc.service.Mitigation`
-vocabulary one level up — and the failure detector promotes replicas
-after ``failover_detect_cycles``.  Route-cache rows pointing at a dead
-primary die by timeout instead of by MOVED (the client invalidates and
-re-bootstraps); with ``repair_policy="eager"`` every committed
-ownership change is instead broadcast into all client caches
-immediately — the measurable lazy-vs-eager A/B.
-
-Two oracles cross-check every run:
-
-* the **routing oracle** (PR 5): the node that executed a request must
-  authoritatively hold the key's slot at serve time (primary, replica
-  for reads, importing node during an ASK window).  A violation raises
-  :class:`~repro.errors.ClusterError`.
-* the **failover oracle**: every acknowledged write must survive — be
-  readable from the slot's authoritative read set — at the end of the
-  run whenever a live replica existed at ack time.  A stranded live
-  copy raises :class:`~repro.errors.FailoverError`; unavoidable losses
-  (``replicas=0``, or every holder of a key crashed before
-  re-replication) are reported as ``acked_write_losses`` telemetry
-  with the loss window, never silently.
+``request`` retries an attempt that died against an unreachable node
+under the svc :class:`~repro.svc.service.Mitigation` budget, after the
+migration and failover schedulers have advanced.  The acked-write
+(failover) oracle's data lives in the
+:class:`~repro.cluster.ledger.WriteLedger`: an acked write with a live
+replica at ack time that the read set lost raises
+:class:`~repro.errors.FailoverError`; unavoidable losses are reported
+as ``acked_write_losses`` with the loss window, never silently.
 """
 
 from __future__ import annotations
@@ -56,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ClusterError, FailoverError, HeteroError, ReproError
 from ..hetero.accel_node import (
@@ -78,6 +58,7 @@ from ..workloads.keys import key_bytes
 from .client import ClusterClient
 from .failover import FailoverScheduler, parse_node_fault
 from .intervals import IntervalSchedule
+from .ledger import WriteLedger
 from .migration import MigrationScheduler
 from .network import REQUEST_HEADER_BYTES, ClusterNetwork
 from .topology import ClusterTopology, slot_for_key
@@ -251,24 +232,35 @@ def _jain(values: Sequence[float]) -> float:
     return (total * total) / (len(rates) * sum(r * r for r in rates))
 
 
-class _NodeServer:
+class _Server:
+    """What every node reports: requests served, busy cycles and the
+    latency histogram of the requests it completed."""
+
+    __slots__ = ("name", "node_id", "served", "busy", "histogram",
+                 "latency_sum")
+
+    def __init__(self, node_id: int, precision: int) -> None:
+        self.name = f"node{node_id}"
+        self.node_id = node_id
+        self.served = 0
+        self.busy = 0.0
+        self.histogram = LatencyHistogram(precision=precision)
+        self.latency_sum = 0.0
+
+
+class _NodeServer(_Server):
     """FIFO core queues of one node, charging captured service times."""
 
-    __slots__ = ("name", "op_cycles", "free_at", "served", "busy",
-                 "histogram", "latency_sum")
+    __slots__ = ("op_cycles", "free_at")
 
     def __init__(self, node_id: int, op_cycles: Sequence[Sequence[int]],
                  precision: int) -> None:
         if not op_cycles or any(not seq for seq in op_cycles):
             raise ClusterError(
                 f"node {node_id} produced an empty service sequence")
-        self.name = f"node{node_id}"
+        super().__init__(node_id, precision)
         self.op_cycles = [list(seq) for seq in op_cycles]
         self.free_at = [0.0] * len(op_cycles)
-        self.served = 0
-        self.busy = 0.0
-        self.histogram = LatencyHistogram(precision=precision)
-        self.latency_sum = 0.0
 
     def serve(self, at: float) -> float:
         """Charge one request, starting no earlier than ``at``; returns
@@ -287,7 +279,7 @@ class _NodeServer:
         return completion
 
 
-class _AccelServer:
+class _AccelServer(_Server):
     """The lookup pipeline of one accelerator node.
 
     Serving is pipelined: a lookup's *latency* spans the whole
@@ -308,22 +300,16 @@ class _AccelServer:
     timeline, never hidden.
     """
 
-    __slots__ = ("name", "node_id", "model", "value_bytes", "pipeline",
-                 "served", "busy", "histogram", "latency_sum",
-                 "lookups", "hits", "misses", "installs",
-                 "invalidations", "mode_switches", "mgmt_cycles")
+    __slots__ = ("model", "value_bytes", "pipeline", "lookups", "hits",
+                 "misses", "installs", "invalidations", "mode_switches",
+                 "mgmt_cycles")
 
     def __init__(self, node_id: int, capacity_keys: int,
                  value_bytes: int, precision: int) -> None:
-        self.name = f"node{node_id}"
-        self.node_id = node_id
+        super().__init__(node_id, precision)
         self.model = AccelNodeModel(capacity_keys)
         self.value_bytes = value_bytes
         self.pipeline = IntervalSchedule()
-        self.served = 0
-        self.busy = 0.0
-        self.histogram = LatencyHistogram(precision=precision)
-        self.latency_sum = 0.0
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -379,33 +365,606 @@ class _AccelServer:
         self.mode_switches += 1
         self.invalidations += 1
 
-    def reset(self) -> None:
-        """Crash: the on-chip memory restarts empty."""
-        self.model.reset()
-
     def report(self) -> dict:
-        data = {
-            "node": self.node_id,
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "installs": self.installs,
-            "invalidations": self.invalidations,
-            "mode_switches": self.mode_switches,
-            "mgmt_cycles": self.mgmt_cycles,
+        return {"node": self.node_id, "lookups": self.lookups,
+                "hits": self.hits, "misses": self.misses,
+                "installs": self.installs,
+                "invalidations": self.invalidations,
+                "mode_switches": self.mode_switches,
+                "mgmt_cycles": self.mgmt_cycles, **self.model.report()}
+
+
+class _Request:
+    """One request as the lifecycle stages see it: what it asks for,
+    and where its current attempt stands — the node it is at and the
+    time its latest message arrives (``t``).  ``backer`` is the slot's
+    full-class backer (the write authority and an accelerator's
+    fallback), ``accel`` the slot's primary if it is an accelerator."""
+
+    __slots__ = ("arrival", "key_id", "slot", "client", "is_write",
+                 "oversized", "backer", "accel", "req_bytes",
+                 "resp_bytes", "start", "node", "t", "head", "via_ask",
+                 "hedged")
+
+    def __init__(self, arrival: float, key_id: int, slot: int,
+                 client: ClusterClient, is_write: bool, oversized: bool,
+                 backer: int, accel: Optional[int],
+                 value_bytes: int) -> None:
+        self.arrival = self.start = arrival
+        self.key_id = key_id
+        self.slot = slot
+        self.client = client
+        self.is_write = is_write
+        self.oversized = oversized
+        self.backer = backer
+        self.accel = accel
+        # a write carries the value up; a read carries it back
+        self.req_bytes = value_bytes if is_write else REQUEST_HEADER_BYTES
+        self.resp_bytes = REQUEST_HEADER_BYTES if is_write else value_bytes
+
+
+def _oversized(key_id: int, fraction: float) -> bool:
+    """Whether ``key_id`` is modeled oversized on the wire (above the
+    accelerator's 255-byte key limit).  A fixed multiplicative hash
+    marks the configured fraction deterministically per key id — part
+    of the workload definition, independent of the run seed and
+    decorrelated from zipf popularity."""
+    return ((key_id * _BIG_KEY_MIX) & 0xFFFFFFFF) < fraction * 4294967296.0
+
+
+def _mitigation(config, node_op_cycles: Sequence[Sequence[Sequence[int]]],
+                faults: bool) -> Mitigation:
+    """Per-attempt client resilience, the svc Mitigation vocabulary one
+    level up.  Budgets are multiples of one healthy exchange (mean
+    service time + RTT); under a fault plan timeouts default on so a
+    crashed primary costs bounded waits, not a hung run."""
+    all_cycles = [c for node_seq in node_op_cycles
+                  for core_seq in node_seq for c in core_seq]
+    base_cycles = max(
+        sum(all_cycles) / len(all_cycles) + config.net_rtt_cycles, 1.0)
+    timeout_mult = config.cluster_timeout
+    if timeout_mult is None and faults:
+        timeout_mult = DEFAULT_CLUSTER_TIMEOUT
+    return Mitigation(
+        timeout_cycles=(timeout_mult * base_cycles
+                        if timeout_mult is not None else None),
+        retries=config.cluster_retries,
+        backoff=config.svc_backoff,
+        hedge_cycles=(config.cluster_hedge * base_cycles
+                      if config.cluster_hedge is not None else None),
+    )
+
+
+class _Overlay:
+    """One overlay run: the fleet, its seeded request stream, and the
+    request lifecycle (module docstring) as one method per stage."""
+
+    def __init__(self, config, node_capacities: Sequence[float],
+                 node_op_cycles: Sequence[Sequence[Sequence[int]]],
+                 precision: int) -> None:
+        nodes = config.nodes
+        if len(node_capacities) != nodes or len(node_op_cycles) != nodes:
+            raise ClusterError(
+                f"got {len(node_capacities)} capacities / "
+                f"{len(node_op_cycles)} cycle captures for {nodes} node(s)")
+        self.total_capacity = float(sum(node_capacities))
+        if self.total_capacity <= 0.0:
+            raise ClusterError("aggregate capacity must be positive")
+        self.config = config
+        self.node_capacities = node_capacities
+        self.precision = precision
+
+        # -- the fleet ------------------------------------------------
+        self.topology = topology = ClusterTopology(
+            nodes, config.replicas, node_classes=config.node_classes,
+            accel_keys=config.effective_accel_keys)
+        self.network = ClusterNetwork(config.net_rtt_cycles)
+        self.servers: List[_Server] = [
+            _AccelServer(i, config.effective_accel_keys, config.value_size,
+                         precision) if topology.is_accel(i)
+            else _NodeServer(i, node_op_cycles[i], precision)
+            for i in range(nodes)]
+        self.clients = [
+            ClusterClient(i, nodes, route_cache=config.route_cache,
+                          batch=config.client_batch,
+                          replica_reads=config.replica_reads,
+                          seed=derive_seed(config.seed, f"client{i}"))
+            for i in range(config.cluster_clients)]
+
+        # -- the seeded request stream --------------------------------
+        self.process = config.arrival_process \
+            if config.arrival_process != "closed" else "poisson"
+        self.count = count = config.effective_cluster_requests
+        self.rate = config.offered_load * self.total_capacity
+        self.arrivals = make_arrivals(
+            self.process, self.rate, count,
+            seed=derive_seed(config.seed, "cluster_arrival"))
+        chooser = make_chooser(config.distribution, config.num_keys,
+                               seed=derive_seed(config.seed,
+                                                "cluster_keystream"))
+        self.key_ids = [chooser.choose() for _ in range(count)]
+        # the read/write mix rides its own stream so enabling faults or
+        # changing any payload policy never shifts which requests write
+        rw_rng = random.Random(derive_seed(config.seed, "cluster_rw"))
+        self.write_flags = [rw_rng.random() < WRITE_FRACTION
+                            for _ in range(count)]
+        self._slot_of: Dict[int, int] = {}
+        self.value_bytes = REQUEST_HEADER_BYTES + config.value_size
+
+        # -- churn, faults, resilience and the write ledger -----------
+        self.migration = MigrationScheduler(
+            topology, config.migrate_rate, config.seed,
+            slot_source=self._random_slot)
+        plan = tuple(parse_node_fault(s) for s in config.node_fault_plan)
+        self.failover = failover = FailoverScheduler(
+            topology, self.network, plan, config.seed, count,
+            detect_cycles=config.failover_detect_cycles) if plan else None
+        self.mitigation = _mitigation(config, node_op_cycles, bool(plan))
+        self.timeout_cycles = self.mitigation.timeout_cycles
+        self.hedge_cycles = self.mitigation.hedge_cycles
+        self.attempts = (1 + self.mitigation.retries
+                         if self.timeout_cycles is not None else 1)
+        self.ledger = ledger = WriteLedger(topology, failover)
+        self.eager = config.repair_policy == "eager"
+        topology.on_owner_change = self._owner_changed
+        if failover is not None:
+            failover.on_crash = self._node_crashed
+            failover.on_promotion = ledger.promoted
+            failover.on_membership_change = ledger.membership_changed
+
+        # -- telemetry ------------------------------------------------
+        self.acked_writes = self.eager_repairs = 0
+        self.moved_redirects = self.post_promotion_moved = 0
+        self.oracle_violations = 0
+        self.hedges = self.hedge_wins = 0
+        self.fallback_set = self.fallback_oversized = 0
+        self.capability_checks = self.capability_violations = 0
+        self.last_delivery = self.total_latency = 0.0
+        self.failed_hist = LatencyHistogram(precision=precision)
+
+    # -- keyspace and fleet events -------------------------------------
+
+    def _slot_for(self, key_id: int) -> int:
+        slot = self._slot_of.get(key_id)
+        if slot is None:
+            slot = slot_for_key(key_bytes(key_id), self.config.fast_hash)
+            self._slot_of[key_id] = slot
+        return slot
+
+    def _random_slot(self, rng: random.Random) -> int:
+        # migrations move the slot of a random live key, so scaled-down
+        # runs (a few hundred keys over 16384 slots) still exercise ASK
+        # windows and stale routes on slots that carry traffic
+        return self._slot_for(rng.randrange(self.config.num_keys))
+
+    def _owner_changed(self, slot: int, old: int, new: int) -> None:
+        self.ledger.owner_changed(slot, old, new)
+        if self.eager:
+            # the eager-repair broadcast: the shootdown-style
+            # alternative to lazy MOVEDs, paid in repair traffic
+            for client in self.clients:
+                if client.push_route(slot, new):
+                    self.eager_repairs += 1
+
+    def _node_crashed(self, node: int) -> None:
+        self.ledger.node_crashed(node)
+        # a crashed accelerator loses its on-chip memory: it restarts
+        # cold and re-fills through capacity fallbacks
+        server = self.servers[node]
+        if isinstance(server, _AccelServer):
+            server.model.reset()
+
+    # -- the request lifecycle -----------------------------------------
+
+    def request(self, index: int, arrival: float, key_id: int) -> None:
+        """Run request ``index`` through the lifecycle, retrying an
+        attempt that died against an unreachable node under the
+        Mitigation's timeout and backoff."""
+        self.ledger.index = index
+        if self.failover is not None:
+            self.failover.before_request(index, arrival)
+        self.migration.before_request(index)
+        topology = self.topology
+        slot = self._slot_for(key_id)
+        is_write = self.write_flags[index]
+        oversized = _oversized(key_id, self.config.hetero_big_key_fraction)
+        owner = topology.owner(slot)
+        accel = owner if topology.is_accel(owner) else None
+        if accel is not None:
+            # demand-side fallback accounting: requests whose slot an
+            # accelerator owns but which only its backer can serve
+            if is_write:
+                self.fallback_set += 1
+            elif oversized:
+                self.fallback_oversized += 1
+        req = _Request(arrival, key_id, slot,
+                       self.clients[index % len(self.clients)], is_write,
+                       oversized, topology.backer_of(slot), accel,
+                       self.value_bytes)
+        for attempt in range(self.attempts):
+            if self._attempt(req, use_cache=attempt == 0):
+                self._ack(req)
+                return
+            # the client waits out its budget, drops the dead row and
+            # retries through a bootstrap node with exponential backoff
+            req.client.on_timeout(slot)
+            if self.timeout_cycles is None:
+                break  # unreachable without timeouts: fail fast
+            req.start += self.timeout_cycles \
+                * (self.mitigation.backoff ** attempt)
+        self._fail(req)
+
+    def _attempt(self, req: _Request, use_cache: bool) -> bool:
+        """Stages 1-6 from ``req.start``; False if the attempt died."""
+        req.via_ask = req.hedged = False
+        if not (self._route(req, use_cache) and self._moved(req)):
+            # the contacted node (or the one MOVED pointed at) is dark
+            return self._hedge(req, math.inf)
+        if not self._ask(req):
+            return False
+        self._check_route(req)
+        if not self._serve(req):
+            return False
+        if self.hedge_cycles is not None \
+                and req.t - req.start > self.hedge_cycles:
+            # the straggler hedge: first completion wins
+            self._hedge(req, req.t)
+        return True
+
+    def _route(self, req: _Request, use_cache: bool) -> bool:
+        """Stage 1: pick the node to contact and send the request."""
+        client = req.client
+        if use_cache:
+            target, _kind = client.target_for(req.slot, self.topology,
+                                              is_read=not req.is_write)
+        else:
+            # a retry after a timeout: the stale row is gone, ask any
+            # node and let MOVED point at the promoted owner
+            target = client.bootstrap_node()
+        # capability pre-route: writes and oversized-key GETs never
+        # touch an accelerator — the client knows every node's
+        # descriptor, so this is local, not an extra hop
+        target = client.capability_route(req.slot, target, self.topology,
+                                         req.is_write, req.oversized)
+        req.node = target
+        req.head = client.begin_request(target)
+        req.t = self.network.one_way(client.name, self.servers[target].name,
+                                     req.req_bytes, req.start,
+                                     propagate=req.head)
+        return not math.isinf(req.t)
+
+    def _moved(self, req: _Request) -> bool:
+        """Stage 2, MOVED: a contacted node without authority over the
+        request answers with the owner's address; the client re-sends
+        there."""
+        topology = self.topology
+        slot = req.slot
+        target = req.node
+        if self._authority(req, target):
+            return True
+        self.moved_redirects += 1
+        if self.failover is not None and self.failover.promotions \
+                and topology.epoch(slot) > 0:
+            # the lazy-vs-eager A/B's numerator: redirects spent
+            # re-learning slots a promotion (or later churn) has
+            # actually rewired — eager's broadcast pre-heals exactly
+            # these, lazy pays one MOVED per re-touch
+            self.post_promotion_moved += 1
+        client = req.client
+        t = self.network.one_way(self.servers[target].name, client.name,
+                                 REDIRECT_BYTES, req.t + REDIRECT_CYCLES)
+        owner = topology.owner(slot)
+        client.on_moved(slot, owner)
+        if req.is_write:
+            req.node = req.backer
+        else:
+            # the MOVED reply named the owner; an ineligible GET still
+            # peels off to the backer before the re-send
+            req.node = client.capability_route(slot, owner, topology,
+                                               False, req.oversized)
+        req.head = True  # a redirected request restarts its window
+        req.t = self.network.one_way(client.name,
+                                     self.servers[req.node].name,
+                                     req.req_bytes, t)
+        return not math.isinf(req.t)
+
+    def _ask(self, req: _Request) -> bool:
+        """Stage 3, ASK: the old primary of a slot mid-migration
+        forwards one-shot to the importing node, nothing cached."""
+        ask = self.migration.ask_target(req.slot, req.node)
+        if ask is None:
+            return True
+        client = req.client
+        t = self.network.one_way(self.servers[req.node].name, client.name,
+                                 REDIRECT_BYTES, req.t + REDIRECT_CYCLES)
+        t = self.network.one_way(client.name, self.servers[ask].name,
+                                 req.req_bytes, t)
+        if math.isinf(t):
+            return False
+        req.node = ask
+        req.t = t
+        req.via_ask = True
+        return True
+
+    def _check_route(self, req: _Request) -> None:
+        """Stage 4, the routing oracle: the node about to serve must
+        hold authority over the request, or import the slot through the
+        ASK window that forwarded it."""
+        node = req.node
+        if not (self._authority(req, node) or req.via_ask
+                and node == self.migration.importing_node(req.slot)):
+            self.oracle_violations += 1
+
+    def _authority(self, req: _Request, node: int) -> bool:
+        """Whether ``node`` may serve ``req``: only the backer acks a
+        write; a read may land on the primary or any replica (or, in a
+        mixed fleet, the backer)."""
+        if req.is_write:
+            return node == req.backer
+        return node in self.topology.read_set(req.slot)
+
+    def _serve(self, req: _Request) -> bool:
+        """Stage 5: a full node serves from its core queues, an
+        accelerator from its lookup pipeline; leaves ``req.t`` at the
+        response's delivery.  False when a capacity miss's fallback to
+        the backer is dropped."""
+        server = self.servers[req.node]
+        self.capability_checks += 1
+        if not isinstance(server, _AccelServer):
+            completion = server.serve(req.t)
+        elif req.is_write or req.oversized:
+            # the capability fence: dispatch makes this path
+            # unreachable; if a request ever lands here anyway the
+            # violation is recorded loudly (the run raises at the end)
+            # and the backer serves it so accounting holds
+            self.capability_violations += 1
+            req.node = req.backer
+            server = self.servers[req.node]
+            completion = server.serve(req.t)
+        else:
+            key = key_bytes(req.key_id)
+            if server.model.resident(key):
+                completion = server.serve_lookup(req.t, len(key))
+            else:
+                # capacity miss: the pipeline answers "not here", the
+                # client falls back to the slot's full-class backer,
+                # and the served value is installed behind the
+                # accelerator's pipeline for the next touch
+                accel = server
+                client = req.client
+                t = accel.miss_reply(req.t, len(key))
+                t = self.network.one_way(accel.name, client.name,
+                                         REDIRECT_BYTES, t)
+                server = self.servers[req.backer]
+                t = self.network.one_way(client.name, server.name,
+                                         req.req_bytes, t)
+                if math.isinf(t):
+                    return False
+                req.node = req.backer
+                completion = server.serve(t)
+                accel.install(completion, key)
+                self.ledger.installed(accel.node_id, req.key_id, req.backer)
+        req.t = self.network.one_way(server.name, req.client.name,
+                                     req.resp_bytes, completion,
+                                     propagate=req.head)
+        return True
+
+    def _hedge(self, req: _Request, deadline: float) -> bool:
+        """Stage 6, the read hedge: a second copy fires ``hedge_cycles``
+        after the attempt started, against the first reachable replica
+        (ring order) other than ``req.node``.  Both copies consume
+        resources; the hedge wins if it delivers before ``deadline``."""
+        if self.hedge_cycles is None or req.is_write:
+            return False
+        at = req.start + self.hedge_cycles
+        client = req.client
+        network = self.network
+        for node in self.topology.replicas_of(req.slot):
+            server = self.servers[node]
+            if node == req.node \
+                    or not network.reachable(client.name, server.name):
+                continue
+            # reachable both ways: neither message can drop
+            t = network.one_way(client.name, server.name, req.req_bytes,
+                                at)
+            delivery = network.one_way(server.name, client.name,
+                                       req.resp_bytes, server.serve(t))
+            self.hedges += 1
+            if delivery >= deadline:
+                return False
+            self.hedge_wins += 1
+            req.t, req.node, req.hedged = delivery, node, True
+            return True
+        return False
+
+    def _ack(self, req: _Request) -> None:
+        """Stage 7: learn the route, ack the write (or judge the read)
+        and record the latency at the serving node."""
+        node = req.node
+        if not req.via_ask and not req.hedged:
+            # even when this request fell back to the backer, the
+            # route to learn is the accelerator: the next GET must try
+            # the fast path first
+            req.client.on_served(
+                req.slot, req.accel if req.accel is not None else node)
+        if req.is_write:
+            # the primary acks and synchronously replicates to the
+            # slot's current replica set — the copies the oracle audits
+            self.ledger.ack(req.key_id, req.slot, node)
+            self.acked_writes += 1
+            if req.accel is not None:
+                # write-invalidation: the acked value supersedes
+                # whatever copy the accelerator still serves
+                self.servers[req.accel].invalidate(req.t,
+                                                   key_bytes(req.key_id))
+        else:
+            self.ledger.read(node, req.key_id)
+        latency = req.t - req.arrival
+        server = self.servers[node]
+        server.histogram.record(latency)
+        server.latency_sum += latency
+        self.total_latency += latency
+        if req.t > self.last_delivery:
+            self.last_delivery = req.t
+
+    def _fail(self, req: _Request) -> None:
+        """Out of attempts: the request fails; the time burned waiting
+        still counts against the tail and the makespan."""
+        latency = max(req.start - req.arrival, 0.0)
+        self.failed_hist.record(latency)
+        self.total_latency += latency
+        if req.start > self.last_delivery:
+            self.last_delivery = req.start
+
+    # -- fold ----------------------------------------------------------
+
+    def result(self) -> ClusterResult:
+        """Drain the schedulers, take both oracles' verdicts and fold
+        the run into a :class:`ClusterResult`."""
+        config = self.config
+        count = self.count
+        last_delivery = self.last_delivery
+        self.migration.drain(count)
+        if self.failover is not None:
+            self.failover.drain(last_delivery)
+        failover_violations, acked_write_losses = self.ledger.verdict()
+
+        merged = LatencyHistogram(precision=self.precision)
+        per_node = []
+        for i, server in enumerate(self.servers):
+            merged.merge(server.histogram)
+            entry = {
+                "node": i,
+                "closed_loop_throughput": self.node_capacities[i],
+                "requests": server.served,
+                "busy_fraction": (server.busy / last_delivery
+                                  if last_delivery else 0.0),
+                "mean_latency": (server.latency_sum / server.served
+                                 if server.served else 0.0),
+            }
+            if self.topology.hetero:
+                entry["node_class"] = self.topology.node_class_of(i)
+            per_node.append(entry)
+        merged.merge(self.failed_hist)
+        if merged.count != count:
+            raise ClusterError(
+                f"lost requests: accounted {merged.count} of {count}")
+
+        caches = [c.cache for c in self.clients if c.cache]
+        # cache-less clients classify every resolution as a miss
+        route_misses = (sum(cache.misses for cache in caches)
+                        if config.route_cache else count)
+        resilience = None
+        if self.mitigation.enabled:
+            resilience = {
+                **self.mitigation.to_dict(),
+                "timeouts": sum(c.timeouts for c in self.clients),
+                "hedges": self.hedges,
+                "hedge_wins": self.hedge_wins,
+            }
+        failover_report = None
+        if self.failover is not None:
+            ledger = self.ledger
+            failover_report = {
+                **self.failover.report(),
+                "repair_policy": config.repair_policy,
+                "write_fraction": WRITE_FRACTION,
+                "post_promotion_moved": self.post_promotion_moved,
+                "lost_reads": ledger.lost_reads,
+                "loss_events": ledger.loss_events,
+                "loss_window": (list(ledger.loss_window)
+                                if ledger.loss_window else None),
+            }
+
+        result = ClusterResult(
+            nodes=config.nodes,
+            replicas=config.replicas,
+            clients=len(self.clients),
+            client_batch=config.client_batch,
+            route_cache=config.route_cache,
+            replica_reads=config.replica_reads,
+            process=self.process,
+            offered_load=config.offered_load,
+            arrival_rate=self.rate,
+            total_capacity=self.total_capacity,
+            requests=count,
+            makespan=last_delivery,
+            achieved_throughput=(count / last_delivery
+                                 if last_delivery else 0.0),
+            mean_latency=self.total_latency / count if count else 0.0,
+            latency=merged.percentiles(),
+            histogram=merged.to_dict(),
+            per_node=per_node,
+            fairness=_jain([s.served for s in self.servers]),
+            route_hits=sum(cache.hits for cache in caches),
+            route_stale_hits=sum(cache.stale_hits for cache in caches),
+            route_misses=route_misses,
+            moved_redirects=self.moved_redirects,
+            ask_redirects=self.migration.ask_redirects,
+            migration=self.migration.report(),
+            network=self.network.report(),
+            oracle_violations=self.oracle_violations,
+            writes=sum(self.write_flags),
+            acked_writes=self.acked_writes,
+            acked_write_losses=acked_write_losses,
+            failover_violations=failover_violations,
+            failed_requests=self.failed_hist.count,
+            eager_repairs=self.eager_repairs,
+            resilience=resilience,
+            failover=failover_report,
+            hetero=self._hetero_report() if self.topology.hetero else None,
+        )
+        if self.oracle_violations:
+            raise ClusterError(
+                f"cluster routing oracle: {self.oracle_violations} "
+                f"request(s) served by a node without authority over the "
+                f"slot")
+        if self.capability_violations:
+            raise HeteroError(
+                f"capability oracle: {self.capability_violations} "
+                f"ineligible request(s) reached an accelerator node "
+                f"(writes and oversized keys must be dispatched to the "
+                f"backer)")
+        if failover_violations:
+            raise FailoverError(
+                f"failover oracle: {failover_violations} acknowledged "
+                f"write(s) with a live replica at ack time did not survive "
+                f"to the end of the run")
+        return result
+
+    def _hetero_report(self) -> dict:
+        config = self.config
+        node_classes = config.node_classes
+        cost_units = fleet_cost(node_classes)
+        count = self.count
+        achieved = count / self.last_delivery if self.last_delivery else 0.0
+        accels = [s for s in self.servers if isinstance(s, _AccelServer)]
+        # every accelerator lookup is a hit or a capacity fallback
+        accel_gets = sum(s.lookups for s in accels)
+        accel_hits = sum(s.hits for s in accels)
+        fallbacks = {"capacity": sum(s.misses for s in accels),
+                     "set": self.fallback_set,
+                     "oversized": self.fallback_oversized}
+        return {
+            "node_types": format_node_types(node_classes),
+            "node_classes": list(node_classes),
+            "fleet_cost_units": cost_units,
+            "accel_keys": config.effective_accel_keys,
+            "big_key_fraction": config.hetero_big_key_fraction,
+            "accel_gets": accel_gets,
+            "accel_hits": accel_hits,
+            "accel_hit_fraction": (accel_hits / accel_gets
+                                   if accel_gets else 0.0),
+            "fallbacks": fallbacks,
+            "fallback_rate": (sum(fallbacks.values()) / count
+                              if count else 0.0),
+            "cap_reroutes": sum(c.cap_reroutes for c in self.clients),
+            "capability_checks": self.capability_checks,
+            "capability_violations": self.capability_violations,
+            "cost_normalized_throughput": (achieved / cost_units
+                                           if cost_units else 0.0),
+            "per_accel": [s.report() for s in accels],
         }
-        data.update(self.model.report())
-        return data
-
-
-class _AckedWrite:
-    """Latest acknowledged value of one key: who holds a copy."""
-
-    __slots__ = ("holders", "had_replica")
-
-    def __init__(self, holders: Set[int]) -> None:
-        self.holders = holders
-        self.had_replica = len(holders) > 1
 
 
 def simulate_cluster(
@@ -424,721 +983,11 @@ def simulate_cluster(
     and fault schedules — derives from ``config.seed`` through
     namespaced streams.
     """
-    nodes = config.nodes
-    if len(node_capacities) != nodes or len(node_op_cycles) != nodes:
-        raise ClusterError(
-            f"got {len(node_capacities)} capacities / "
-            f"{len(node_op_cycles)} cycle captures for {nodes} node(s)")
-    total_capacity = float(sum(node_capacities))
-    if total_capacity <= 0.0:
-        raise ClusterError("aggregate capacity must be positive")
-
-    # -- heterogeneous fleet? -----------------------------------------
-    # all gating below keys off this one flag: a homogeneous fleet
-    # (node_types absent *or* all-full) takes the exact pre-hetero
-    # code paths, pinned bit-identical by the golden hetero tests
-    hetero = bool(getattr(config, "hetero_enabled", False))
-    node_classes = config.node_classes if hetero else None
-    accel_keys = config.effective_accel_keys if hetero else None
-    big_fraction = config.hetero_big_key_fraction if hetero else 0.0
-
-    topology = ClusterTopology(nodes, config.replicas,
-                               node_classes=node_classes,
-                               accel_keys=accel_keys)
-    network = ClusterNetwork(config.net_rtt_cycles)
-    if hetero:
-        servers = [
-            _AccelServer(i, accel_keys, config.value_size, precision)
-            if node_classes[i] == NODE_CLASS_ACCEL
-            else _NodeServer(i, node_op_cycles[i], precision)
-            for i in range(nodes)
-        ]
-    else:
-        servers = [_NodeServer(i, node_op_cycles[i], precision)
-                   for i in range(nodes)]
-    clients = [
-        ClusterClient(
-            i, nodes,
-            route_cache=config.route_cache,
-            batch=config.client_batch,
-            replica_reads=config.replica_reads,
-            seed=derive_seed(config.seed, f"client{i}"),
-        )
-        for i in range(config.cluster_clients)
-    ]
-
-    # -- the seeded request stream ------------------------------------
-    process = config.arrival_process \
-        if config.arrival_process != "closed" else "poisson"
-    count = config.effective_cluster_requests
-    rate = config.offered_load * total_capacity
-    arrivals = make_arrivals(process, rate, count,
-                             seed=derive_seed(config.seed,
-                                              "cluster_arrival"))
-    chooser = make_chooser(config.distribution, config.num_keys,
-                           seed=derive_seed(config.seed,
-                                            "cluster_keystream"))
-    key_ids = [chooser.choose() for _ in range(count)]
-    # the read/write mix rides its own stream so enabling faults or
-    # changing any payload policy never shifts which requests write
-    rw_rng = random.Random(derive_seed(config.seed, "cluster_rw"))
-    write_flags = [rw_rng.random() < WRITE_FRACTION for _ in range(count)]
-    slot_of: Dict[int, int] = {}
-
-    def slot_for(key_id: int) -> int:
-        slot = slot_of.get(key_id)
-        if slot is None:
-            slot = slot_for_key(key_bytes(key_id), config.fast_hash)
-            slot_of[key_id] = slot
-        return slot
-
-    # migration payloads target the *populated* keyspace: a migration
-    # event moves the slot of a random live key, so scaled-down runs
-    # (a few hundred keys over 16384 slots) still exercise ASK windows
-    # and post-commit stale routes on slots that carry traffic
-    migration = MigrationScheduler(
-        topology, config.migrate_rate, config.seed,
-        slot_source=lambda rng: slot_for(rng.randrange(config.num_keys)),
-        dst_candidates=topology.full_nodes if hetero else None)
-
-    def _oversized(key_id: int) -> bool:
-        """Whether ``key_id`` is modeled oversized on the wire (above
-        the accelerator's 255-byte key limit).  A fixed multiplicative
-        hash marks the configured fraction deterministically per key
-        id — part of the workload definition, independent of the run
-        seed and decorrelated from zipf popularity."""
-        if big_fraction <= 0.0:
-            return False
-        return ((key_id * _BIG_KEY_MIX) & 0xFFFFFFFF) \
-            < big_fraction * 4294967296.0
-
-    # -- failover machinery -------------------------------------------
-    plan = tuple(parse_node_fault(s) for s in config.node_fault_plan)
-    failover: Optional[FailoverScheduler] = None
-    if plan:
-        failover = FailoverScheduler(
-            topology, network, plan, config.seed, count,
-            detect_cycles=config.failover_detect_cycles)
-
-    # per-attempt client resilience, the svc Mitigation vocabulary one
-    # level up.  Budgets are multiples of one healthy exchange (mean
-    # service time + RTT); under a fault plan timeouts default on so a
-    # crashed primary costs bounded waits, not a hung run
-    all_cycles = [c for node_seq in node_op_cycles
-                  for core_seq in node_seq for c in core_seq]
-    base_cycles = max(
-        sum(all_cycles) / len(all_cycles) + config.net_rtt_cycles, 1.0)
-    timeout_mult = config.cluster_timeout
-    if timeout_mult is None and plan:
-        timeout_mult = DEFAULT_CLUSTER_TIMEOUT
-    mitigation = Mitigation(
-        timeout_cycles=(timeout_mult * base_cycles
-                        if timeout_mult is not None else None),
-        retries=config.cluster_retries,
-        backoff=config.svc_backoff,
-        hedge_cycles=(config.cluster_hedge * base_cycles
-                      if config.cluster_hedge is not None else None),
-    )
-    timeout_cycles = mitigation.timeout_cycles
-    hedge_cycles = mitigation.hedge_cycles
-    attempts = 1 + mitigation.retries if timeout_cycles is not None else 1
-
-    # -- the failover oracle's data bookkeeping -----------------------
-    # key -> latest acked write (who holds a copy); slot -> acked keys
-    acked: Dict[int, _AckedWrite] = {}
-    slot_keys: Dict[int, Set[int]] = {}
-    eager = config.repair_policy == "eager"
-    current_index = [0]
-    counters = {"eager_repairs": 0, "lost_reads": 0, "loss_events": 0,
-                "hedges": 0, "hedge_wins": 0, "post_promotion_moved": 0}
-    loss_window: List[int] = []
-    #: (accelerator node, key id) copies installed from a node lacking
-    #: the key's latest acked value
-    stale_copies: Set[Tuple[int, int]] = set()
-
-    def _mark_loss(keys_lost: int) -> None:
-        if keys_lost <= 0:
-            return
-        counters["loss_events"] += keys_lost
-        index = current_index[0]
-        if not loss_window:
-            loss_window.extend((index, index))
-        else:
-            loss_window[1] = index
-
-    def _can_sync_from(node: int) -> bool:
-        # a graceful handover ships the slot's data with it — possible
-        # only while the previous owner is alive and reachable
-        if failover is None:
-            return True
-        return (node not in failover.crashed
-                and node not in failover.isolated)
-
-    def _live_holder(holders: Set[int]) -> bool:
-        return any(_can_sync_from(node) for node in holders)
-
-    def _owner_changed(slot: int, old: int, new: int) -> None:
-        # data: re-replicate the slot's acked keys onto the new regime
-        # when the data can actually get there (the heir already holds
-        # a copy, or the old owner can ship it — an accelerator owner
-        # holds none, so its slot ships from a live holder behind it)
-        keys = slot_keys.get(slot)
-        if keys:
-            # durable copies live on the write authority + replicas;
-            # for a homogeneous fleet that is exactly the read set, for
-            # a mixed one it excludes accelerator primaries (their
-            # on-chip memory is a cache, never a copy of record)
-            durable = topology.durable_set(slot)
-            from_accel = hetero and topology.is_accel(old)
-            for key in keys:
-                holders = acked[key].holders
-                if not holders:
-                    continue
-                if new in holders or (
-                        _live_holder(holders) if from_accel
-                        else old in holders and _can_sync_from(old)):
-                    holders.clear()
-                    holders.update(durable)
-        # routes: the eager-repair broadcast pushes the new owner into
-        # every client cache — fixing stale rows *and* installing rows
-        # where timeouts already scrubbed one (the shootdown-style
-        # alternative the lazy MOVED path avoids, paid here in repair
-        # traffic instead of redirects)
-        if eager:
-            for client in clients:
-                cache = client.cache
-                if cache is None:
-                    continue
-                if cache.lookup(slot) != new:
-                    cache.invalidate(slot)
-                    cache.learn(slot, new)
-                    counters["eager_repairs"] += 1
-
-    topology.on_owner_change = _owner_changed
-
-    if failover is not None:
-        def _node_crashed(node: int) -> None:
-            # the process died: every copy it held is gone; keys whose
-            # last copy just vanished are lost (telemetry + window)
-            lost = 0
-            for rec in acked.values():
-                if node in rec.holders:
-                    rec.holders.discard(node)
-                    if not rec.holders:
-                        lost += 1
-            _mark_loss(lost)
-            # a crashed accelerator loses its on-chip memory: it
-            # restarts cold and re-fills through capacity fallbacks
-            server = servers[node]
-            if isinstance(server, _AccelServer):
-                server.reset()
-
-        def _promotion(node: int, slots: List[int]) -> None:
-            # slots whose new owner has no copy serve fenced/empty data
-            # from here on: the loss becomes visible now
-            fenced = 0
-            for slot in slots:
-                owner = topology.owner(slot)
-                for key in slot_keys.get(slot, ()):
-                    holders = acked[key].holders
-                    if holders and owner not in holders:
-                        fenced += 1
-            _mark_loss(fenced)
-
-        def _membership_changed() -> None:
-            # ring membership moved: replica sets of slots whose owner
-            # stayed put may have changed — the replication daemon
-            # re-syncs every key whose primary still holds a copy
-            for slot, keys in slot_keys.items():
-                durable: Optional[Set[int]] = None
-                # the node driving the re-sync is the one serving the
-                # slot's writes: the primary, or (mixed fleets) the
-                # accelerator primary's full-class backer — which a
-                # change of the full set can move to a node holding no
-                # copy yet; it then syncs from a live holder
-                authority = (topology.write_authority(slot) if hetero
-                             else topology.owner(slot))
-                for key in keys:
-                    holders = acked[key].holders
-                    if authority in holders or (
-                            hetero and _live_holder(holders)):
-                        if durable is None:
-                            durable = topology.durable_set(slot)
-                        holders.clear()
-                        holders.update(durable)
-
-        failover.on_crash = _node_crashed
-        failover.on_promotion = _promotion
-        failover.on_membership_change = _membership_changed
-
-    # -- the event loop -----------------------------------------------
-    moved_redirects = 0
-    oracle_violations = 0
-    failed_requests = 0
-    writes = 0
-    acked_writes = 0
-    last_delivery = 0.0
-    total_latency = 0.0
-    value_bytes = REQUEST_HEADER_BYTES + config.value_size
-    failed_hist = LatencyHistogram(precision=precision)
-    hetero_counters = {"accel_gets": 0, "accel_hits": 0,
-                       "fallback_capacity": 0, "fallback_set": 0,
-                       "fallback_oversized": 0, "capability_checks": 0}
-    capability_violations = 0
-
-    def _read_hedge(client: ClusterClient, slot: int, at: float,
-                    req_bytes: int, resp_bytes: int,
-                    exclude: int) -> Optional[Tuple[float, int]]:
-        """Hedge a read against the first reachable replica (ring
-        order); both copies consume resources, first completion wins at
-        the caller.  Returns (delivery, node) or None."""
-        for node in topology.replicas_of(slot):
-            if node == exclude:
-                continue
-            server = servers[node]
-            if not network.reachable(client.name, server.name):
-                continue
-            t = network.one_way(client.name, server.name, req_bytes,
-                                at)
-            if math.isinf(t):
-                continue
-            completion = server.serve(t)
-            delivery = network.one_way(server.name, client.name,
-                                       resp_bytes, completion)
-            if not math.isinf(delivery):
-                counters["hedges"] += 1
-                return delivery, node
-        return None
-
-    def _attempt(client: ClusterClient, slot: int, start: float,
-                 is_write: bool, use_cache: bool, req_bytes: int,
-                 resp_bytes: int, key_id: int = -1,
-                 oversized: bool = False
-                 ) -> Optional[Tuple[float, int, bool, bool]]:
-        """One request attempt from ``start``.  Returns (delivery,
-        serve_node, served_via_ask, hedged) or None if every path
-        timed out against unreachable nodes."""
-        nonlocal moved_redirects, oracle_violations
-        nonlocal capability_violations
-        if use_cache:
-            target, _kind = client.target_for(slot, topology,
-                                              is_read=not is_write)
-        else:
-            # a retry after a timeout: the stale row is gone, ask any
-            # node and let MOVED point at the promoted owner
-            target = client.bootstrap_node()
-        if hetero:
-            # capability pre-route: writes and oversized-key GETs
-            # never touch an accelerator — the client knows every
-            # node's descriptor, so this is local, not an extra hop
-            target = client.capability_route(slot, target, topology,
-                                             is_write, oversized)
-        head = client.begin_request(target)
-        t = network.one_way(client.name, servers[target].name,
-                            req_bytes, start, propagate=head)
-        if math.isinf(t):
-            if hedge_cycles is not None and not is_write:
-                alt = _read_hedge(client, slot, start + hedge_cycles,
-                                  req_bytes, resp_bytes, target)
-                if alt is not None:
-                    counters["hedge_wins"] += 1
-                    return alt[0], alt[1], False, True
-            return None
-
-        # MOVED: the contacted node has no authority over the request —
-        # reads may land on the primary or any replica, writes only on
-        # the primary — it answers with the owner's address, the
-        # client retries there
-        serve_node = target
-        # writes are acknowledged by the slot's write authority: the
-        # primary — or, when an accelerator owns the slot, its
-        # full-class backer (the node holding the authoritative data)
-        write_target = (topology.write_authority(slot) if hetero
-                        else topology.owner(slot))
-        authority = ((write_target,) if is_write
-                     else topology.read_set(slot))
-        if target not in authority:
-            moved_redirects += 1
-            if failover is not None and failover.promotions \
-                    and topology.epoch(slot) > 0:
-                # the lazy-vs-eager A/B's numerator: redirects spent
-                # re-learning slots a promotion (or later churn) has
-                # actually rewired — eager's broadcast pre-heals
-                # exactly these, lazy pays one MOVED per re-touch
-                counters["post_promotion_moved"] += 1
-            t += REDIRECT_CYCLES
-            t = network.one_way(servers[target].name, client.name,
-                                REDIRECT_BYTES, t)
-            owner = topology.owner(slot)
-            client.on_moved(slot, owner)
-            serve_node = write_target if is_write else owner
-            if hetero and not is_write:
-                # the MOVED reply named the owner; an ineligible GET
-                # still peels off to the backer before the re-send
-                serve_node = client.capability_route(
-                    slot, serve_node, topology, is_write, oversized)
-            head = True  # a redirected request restarts its window
-            t = network.one_way(client.name, servers[serve_node].name,
-                                req_bytes, t)
-            if math.isinf(t):
-                # MOVED pointed into the detection window's corpse
-                if hedge_cycles is not None and not is_write:
-                    alt = _read_hedge(client, slot,
-                                      start + hedge_cycles, req_bytes,
-                                      resp_bytes, serve_node)
-                    if alt is not None:
-                        counters["hedge_wins"] += 1
-                        return alt[0], alt[1], False, True
-                return None
-
-        # ASK: the slot is mid-migration and this is its old primary —
-        # one-shot forward to the importing node, nothing cached
-        served_via_ask = False
-        ask = migration.ask_target(slot, serve_node)
-        if ask is not None:
-            t += REDIRECT_CYCLES
-            t = network.one_way(servers[serve_node].name, client.name,
-                                REDIRECT_BYTES, t)
-            t = network.one_way(client.name, servers[ask].name,
-                                req_bytes, t)
-            if math.isinf(t):
-                return None
-            serve_node = ask
-            served_via_ask = True
-
-        # -- the routing oracle ---------------------------------------
-        legal = ({write_target} if is_write
-                 else set(topology.read_set(slot)))
-        if served_via_ask:
-            importing = migration.importing_node(slot)
-            if importing is not None:
-                legal.add(importing)
-        if serve_node not in legal:
-            oracle_violations += 1
-
-        server = servers[serve_node]
-        if hetero and isinstance(server, _AccelServer):
-            hetero_counters["capability_checks"] += 1
-            key = key_bytes(key_id)
-            if is_write or oversized:
-                # the capability fence: dispatch makes this path
-                # unreachable; if a request ever lands here anyway the
-                # violation is recorded loudly (the run raises at the
-                # end) and the backer serves it so accounting holds
-                capability_violations += 1
-                serve_node = topology.backer_of(slot)
-                server = servers[serve_node]
-                completion = server.serve(t)
-            elif server.model.resident(key):
-                hetero_counters["accel_gets"] += 1
-                hetero_counters["accel_hits"] += 1
-                completion = server.serve_lookup(t, len(key))
-            else:
-                # capacity miss: the pipeline answers "not here", the
-                # client falls back to the slot's full-class backer,
-                # and the served value is installed behind the
-                # accelerator's pipeline for the next touch
-                hetero_counters["accel_gets"] += 1
-                hetero_counters["fallback_capacity"] += 1
-                accel = server
-                t = accel.miss_reply(t, len(key))
-                t = network.one_way(accel.name, client.name,
-                                    REDIRECT_BYTES, t)
-                backer = topology.backer_of(slot)
-                t = network.one_way(client.name, servers[backer].name,
-                                    req_bytes, t)
-                if math.isinf(t):
-                    return None
-                serve_node = backer
-                server = servers[serve_node]
-                completion = server.serve(t)
-                accel.install(completion, key)
-                # the copy is as good as its source: writes invalidate
-                # it, so only an install from a node lacking the latest
-                # acked value makes the accelerator's later hits lost
-                record = acked.get(key_id)
-                if record is not None and backer not in record.holders:
-                    stale_copies.add((accel.node_id, key_id))
-                else:
-                    stale_copies.discard((accel.node_id, key_id))
-        else:
-            if hetero:
-                hetero_counters["capability_checks"] += 1
-            completion = server.serve(t)
-        delivery = network.one_way(server.name, client.name,
-                                   resp_bytes, completion,
-                                   propagate=head)
-        hedged = False
-        if hedge_cycles is not None and not is_write \
-                and delivery - start > hedge_cycles:
-            # the straggler hedge: a second copy fires after the hedge
-            # delay; both consume resources, first completion wins
-            alt = _read_hedge(client, slot, start + hedge_cycles,
-                              req_bytes, resp_bytes, serve_node)
-            if alt is not None and alt[0] < delivery:
-                counters["hedge_wins"] += 1
-                delivery, serve_node = alt
-                hedged = True
-        return delivery, serve_node, served_via_ask, hedged
-
-    for index, (arrival, key_id) in enumerate(zip(arrivals, key_ids)):
-        current_index[0] = index
-        if failover is not None:
-            failover.before_request(index, arrival)
-        migration.before_request(index)
-        slot = slot_for(key_id)
-        client = clients[index % len(clients)]
-        is_write = write_flags[index]
-        if is_write:
-            writes += 1
-        oversized = _oversized(key_id)
-        if hetero and topology.is_accel(topology.owner(slot)):
-            # demand-side fallback accounting: requests whose slot an
-            # accelerator owns but which only its backer can serve
-            if is_write:
-                hetero_counters["fallback_set"] += 1
-            elif oversized:
-                hetero_counters["fallback_oversized"] += 1
-        # a write carries the value up; a read carries it back
-        req_bytes = value_bytes if is_write else REQUEST_HEADER_BYTES
-        resp_bytes = REQUEST_HEADER_BYTES if is_write else value_bytes
-
-        attempt_start = arrival
-        outcome = None
-        for attempt in range(attempts):
-            outcome = _attempt(client, slot, attempt_start, is_write,
-                               attempt == 0, req_bytes, resp_bytes,
-                               key_id=key_id, oversized=oversized)
-            if outcome is not None:
-                break
-            # the attempt died against an unreachable node: the client
-            # waits out its budget, drops the dead row and retries
-            # through a bootstrap node with exponential backoff
-            client.on_timeout(slot)
-            if timeout_cycles is None:
-                break  # unreachable without timeouts: fail fast
-            attempt_start += timeout_cycles \
-                * (mitigation.backoff ** attempt)
-
-        if outcome is None:
-            # out of attempts: the request fails; the time burned
-            # waiting still counts against the tail and the makespan
-            failed_requests += 1
-            latency = max(attempt_start - arrival, 0.0)
-            failed_hist.record(latency)
-            total_latency += latency
-            if attempt_start > last_delivery:
-                last_delivery = attempt_start
-            continue
-
-        delivery, serve_node, served_via_ask, hedged = outcome
-        server = servers[serve_node]
-        if not served_via_ask and not hedged:
-            learn = serve_node
-            if hetero:
-                owner = topology.owner(slot)
-                if topology.is_accel(owner):
-                    # even when this request fell back to the backer,
-                    # the route to learn is the accelerator: the next
-                    # GET must try the fast path first
-                    learn = owner
-            client.on_served(slot, learn)
-
-        if is_write:
-            # the primary acks and synchronously replicates to the
-            # slot's current replica set — the copies the oracle audits
-            holders = {serve_node} | set(topology.replicas_of(slot))
-            record = acked.get(key_id)
-            if record is None:
-                acked[key_id] = _AckedWrite(holders)
-                slot_keys.setdefault(slot, set()).add(key_id)
-            else:
-                record.holders = holders
-                record.had_replica = len(holders) > 1
-            acked_writes += 1
-            if hetero:
-                owner = topology.owner(slot)
-                srv = servers[owner]
-                if isinstance(srv, _AccelServer):
-                    # write-invalidation: the acked value supersedes
-                    # whatever copy the accelerator still serves
-                    srv.invalidate(delivery, key_bytes(key_id))
-        else:
-            if hetero and topology.is_accel(serve_node):
-                # an accelerator is never a holder: its hit is judged
-                # by the source its copy was installed from
-                lost = (serve_node, key_id) in stale_copies
-            else:
-                record = acked.get(key_id)
-                lost = (record is not None
-                        and serve_node not in record.holders)
-            if lost:
-                # a legal route served a key whose latest acked value
-                # it does not hold — reading inside a data-loss window
-                counters["lost_reads"] += 1
-
-        latency = delivery - arrival
-        server.histogram.record(latency)
-        server.latency_sum += latency
-        total_latency += latency
-        if delivery > last_delivery:
-            last_delivery = delivery
-
-    migration.drain(count)
-    if failover is not None:
-        failover.drain(last_delivery)
-
-    # -- the failover oracle's verdict --------------------------------
-    failover_violations = 0
-    acked_write_losses = 0
-    for key_id, record in acked.items():
-        legal = set(topology.read_set(slot_of[key_id]))
-        if record.holders & legal:
-            continue
-        if record.had_replica and record.holders:
-            # a live node still holds the value but the authoritative
-            # read set forgot it: promotion landed on a non-holder
-            # while a holder survived — a real failover bug
-            failover_violations += 1
-        else:
-            # unavoidable: no replica existed at ack time, or every
-            # holder crashed before re-replication could complete
-            acked_write_losses += 1
-
-    # -- fold ----------------------------------------------------------
-    merged = LatencyHistogram(precision=precision)
-    per_node = []
-    for i, server in enumerate(servers):
-        merged.merge(server.histogram)
-        entry = {
-            "node": i,
-            "closed_loop_throughput": node_capacities[i],
-            "requests": server.served,
-            "busy_fraction": (server.busy / last_delivery
-                              if last_delivery else 0.0),
-            "mean_latency": (server.latency_sum / server.served
-                             if server.served else 0.0),
-        }
-        if hetero:
-            entry["node_class"] = topology.node_class_of(i)
-        per_node.append(entry)
-    merged.merge(failed_hist)
-    if merged.count != count:
-        raise ClusterError(
-            f"lost requests: accounted {merged.count} of {count}")
-
-    route_hits = sum(c.cache.hits for c in clients if c.cache)
-    route_stale = sum(c.cache.stale_hits for c in clients if c.cache)
-    route_misses = sum(c.cache.misses for c in clients if c.cache)
-    if not config.route_cache:
-        # cache-less clients classify every resolution as a miss
-        route_misses = count
-
-    resilience = None
-    if mitigation.enabled:
-        resilience = {
-            **mitigation.to_dict(),
-            "timeouts": sum(c.timeouts for c in clients),
-            "hedges": counters["hedges"],
-            "hedge_wins": counters["hedge_wins"],
-        }
-    hetero_report = None
-    if hetero:
-        cost_units = fleet_cost(node_classes)
-        achieved = count / last_delivery if last_delivery else 0.0
-        accel_gets = hetero_counters["accel_gets"]
-        fallbacks = {
-            "capacity": hetero_counters["fallback_capacity"],
-            "set": hetero_counters["fallback_set"],
-            "oversized": hetero_counters["fallback_oversized"],
-        }
-        hetero_report = {
-            "node_types": format_node_types(node_classes),
-            "node_classes": list(node_classes),
-            "fleet_cost_units": cost_units,
-            "accel_keys": accel_keys,
-            "big_key_fraction": big_fraction,
-            "accel_gets": accel_gets,
-            "accel_hits": hetero_counters["accel_hits"],
-            "accel_hit_fraction": (hetero_counters["accel_hits"]
-                                   / accel_gets if accel_gets else 0.0),
-            "fallbacks": fallbacks,
-            "fallback_rate": (sum(fallbacks.values()) / count
-                              if count else 0.0),
-            "cap_reroutes": sum(c.cap_reroutes for c in clients),
-            "capability_checks": hetero_counters["capability_checks"],
-            "capability_violations": capability_violations,
-            "cost_normalized_throughput": (achieved / cost_units
-                                           if cost_units else 0.0),
-            "per_accel": [s.report() for s in servers
-                          if isinstance(s, _AccelServer)],
-        }
-
-    failover_report = None
-    if failover is not None:
-        failover_report = {
-            **failover.report(),
-            "repair_policy": config.repair_policy,
-            "write_fraction": WRITE_FRACTION,
-            "post_promotion_moved": counters["post_promotion_moved"],
-            "lost_reads": counters["lost_reads"],
-            "loss_events": counters["loss_events"],
-            "loss_window": list(loss_window) if loss_window else None,
-        }
-
-    result = ClusterResult(
-        nodes=nodes,
-        replicas=config.replicas,
-        clients=len(clients),
-        client_batch=config.client_batch,
-        route_cache=config.route_cache,
-        replica_reads=config.replica_reads,
-        process=process,
-        offered_load=config.offered_load,
-        arrival_rate=rate,
-        total_capacity=total_capacity,
-        requests=count,
-        makespan=last_delivery,
-        achieved_throughput=(count / last_delivery
-                             if last_delivery else 0.0),
-        mean_latency=total_latency / count if count else 0.0,
-        latency=merged.percentiles(),
-        histogram=merged.to_dict(),
-        per_node=per_node,
-        fairness=_jain([s.served for s in servers]),
-        route_hits=route_hits,
-        route_stale_hits=route_stale,
-        route_misses=route_misses,
-        moved_redirects=moved_redirects,
-        ask_redirects=migration.ask_redirects,
-        migration=migration.report(),
-        network=network.report(),
-        oracle_violations=oracle_violations,
-        writes=writes,
-        acked_writes=acked_writes,
-        acked_write_losses=acked_write_losses,
-        failover_violations=failover_violations,
-        failed_requests=failed_requests,
-        eager_repairs=counters["eager_repairs"],
-        resilience=resilience,
-        failover=failover_report,
-        hetero=hetero_report,
-    )
-    if oracle_violations:
-        raise ClusterError(
-            f"cluster routing oracle: {oracle_violations} request(s) "
-            f"served by a node without authority over the slot")
-    if capability_violations:
-        raise HeteroError(
-            f"capability oracle: {capability_violations} ineligible "
-            f"request(s) reached an accelerator node (writes and "
-            f"oversized keys must be dispatched to the backer)")
-    if failover_violations:
-        raise FailoverError(
-            f"failover oracle: {failover_violations} acknowledged "
-            f"write(s) with a live replica at ack time did not survive "
-            f"to the end of the run")
-    return result
+    overlay = _Overlay(config, node_capacities, node_op_cycles, precision)
+    for index, (arrival, key_id) in enumerate(zip(overlay.arrivals,
+                                                  overlay.key_ids)):
+        overlay.request(index, arrival, key_id)
+    return overlay.result()
 
 
 # ----------------------------------------------------------------------
@@ -1202,11 +1051,9 @@ def run_cluster(config):
     per_node_results = []
     capacities: List[float] = []
     captures: List[Sequence[Sequence[int]]] = []
-    hetero_classes = (config.node_classes if config.hetero_enabled
-                      else None)
     for node in range(config.nodes):
-        if hetero_classes is not None \
-                and hetero_classes[node] == NODE_CLASS_ACCEL:
+        if config.hetero_enabled \
+                and config.node_classes[node] == NODE_CLASS_ACCEL:
             # accelerator nodes run no software engine: their
             # closed-loop capacity is the lookup pipeline's initiation
             # interval for a canonical resident GET, and they

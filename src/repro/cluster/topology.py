@@ -130,23 +130,16 @@ class ClusterTopology:
         # node takes slot_weight() shares per full-node share, like
         # weighted shards in a production cluster — leaving the full
         # backers the slot headroom to absorb fallback traffic.
-        if self.hetero:
-            weights = [slot_weight(self.node_class_of(i))
-                       for i in range(num_nodes)]
-            total = sum(weights)
-            lo, acc = 0, 0
-            for i in range(num_nodes):
-                acc += weights[i]
-                hi = acc * num_slots // total
-                for slot in range(lo, hi):
-                    self.slot_owner[slot] = i
-                lo = hi
-        else:
-            for i in range(num_nodes):
-                lo = i * num_slots // num_nodes
-                hi = (i + 1) * num_slots // num_nodes
-                for slot in range(lo, hi):
-                    self.slot_owner[slot] = i
+        weights = [slot_weight(self.node_class_of(i))
+                   for i in range(num_nodes)]
+        total = sum(weights)
+        lo, acc = 0, 0
+        for i in range(num_nodes):
+            acc += weights[i]
+            hi = acc * num_slots // total
+            for slot in range(lo, hi):
+                self.slot_owner[slot] = i
+            lo = hi
         self._next_id = num_nodes
         #: per-slot ownership generation: bumped on every owner change
         #: (join steal, leave redistribution, migration commit, crash
@@ -222,10 +215,6 @@ class ClusterTopology:
                 f"surviving node is an accelerator")
         return full[slot % len(full)]
 
-    def write_authority(self, slot: int) -> int:
-        """The single node a write of ``slot`` must be served by."""
-        return self.backer_of(slot)
-
     def replicas_of(self, slot: int) -> Tuple[int, ...]:
         """The replica nodes of ``slot``: the ring successors of its
         primary, in ring order (empty for a replica-less cluster).
@@ -266,11 +255,11 @@ class ClusterTopology:
 
     def durable_set(self, slot: int) -> Set[int]:
         """The nodes holding a *durable* copy of ``slot``'s data: the
-        write authority plus the (full-class) replicas.  For a
+        backer (the write authority) plus the (full-class) replicas.  For a
         homogeneous fleet this equals ``set(read_set(slot))``; for a
         mixed one it excludes accelerator primaries, whose on-chip
         memory is a cache, never a copy of record."""
-        return {self.write_authority(slot)} | set(self.replicas_of(slot))
+        return {self.backer_of(slot)} | set(self.replicas_of(slot))
 
     def slots_of(self, node: int) -> List[int]:
         """All slots whose primary is ``node`` (ascending)."""
@@ -405,11 +394,8 @@ class ClusterTopology:
             # too, so in a mixed fleet it must land on a full node —
             # never another accelerator (replica heirs already are
             # full-class; the replica-less fallback pool must match)
-            if self.hetero:
-                pool = candidates or self.full_nodes()
-            else:
-                pool = candidates or self.node_ids
-            heir = min(pool, key=lambda n: (counts[n], n))
+            heir = min(candidates or self.full_nodes(),
+                       key=lambda n: (counts[n], n))
             self._assign(slot, heir)
             counts[heir] += 1
         return orphans

@@ -151,7 +151,7 @@ class TestCapabilityProperties:
                                num_slots=SLOTS,
                                node_classes=tuple(classes))
         for slot in range(SLOTS):
-            assert not topo.is_accel(topo.write_authority(slot))
+            assert not topo.is_accel(topo.backer_of(slot))
             for node in topo.replicas_of(slot):
                 assert not topo.is_accel(node)
             for node in topo.durable_set(slot):
