@@ -122,6 +122,11 @@ def _read32(buf: bytes, off: int) -> int:
     return struct.unpack_from("<I", buf, off)[0]
 
 
+def _swap64(x: int) -> int:
+    """Byte-swap a u64 (``XXH_swap64``)."""
+    return int.from_bytes(x.to_bytes(8, "little"), "big")
+
+
 def _avalanche64(h: int) -> int:
     h ^= h >> 37
     h = (h * 0x165667919E3779F9) & _MASK
@@ -178,10 +183,7 @@ def _len_9to16(data: bytes, seed: int) -> int:
     input_lo = _read64(data, 0) ^ lo
     input_hi = _read64(data, n - 8) ^ hi
     acc = (
-        n
-        + ((input_lo >> 32) | (input_lo << 32)) & _MASK
-        + input_hi
-        + _mul128_fold64(input_lo, input_hi)
+        n + _swap64(input_lo) + input_hi + _mul128_fold64(input_lo, input_hi)
     ) & _MASK
     return _avalanche64(acc)
 

@@ -67,3 +67,39 @@ class TestXXH3:
         a = xxh3_64(b"user" + b"0" * 19 + b"1")
         b = xxh3_64(b"user" + b"0" * 19 + b"2")
         assert bin(a ^ b).count("1") >= 16
+
+
+class TestXXH3Len9To16:
+    """The 9-16-byte branch sums four terms mod 2^64, as the reference
+    ``XXH3_len_9to16_64b`` does: len + swap64(lo) + hi + fold(lo, hi)."""
+
+    @staticmethod
+    def _reference(data: bytes, seed: int) -> int:
+        from repro.hashes import xxhash as x
+
+        mask = (1 << 64) - 1
+        n = len(data)
+        secret_lo = ((x._read64(x._SECRET, 24) ^ x._read64(x._SECRET, 32))
+                     + seed) & mask
+        secret_hi = ((x._read64(x._SECRET, 40) ^ x._read64(x._SECRET, 48))
+                     - seed) & mask
+        input_lo = int.from_bytes(data[:8], "little") ^ secret_lo
+        input_hi = int.from_bytes(data[n - 8:], "little") ^ secret_hi
+        swapped = int.from_bytes(input_lo.to_bytes(8, "big"), "little")
+        product = input_lo * input_hi
+        fold = (product & mask) ^ (product >> 64)
+        acc = (n + swapped + input_hi + fold) & mask
+        acc ^= acc >> 37
+        acc = (acc * 0x165667919E3779F9) & mask
+        return acc ^ (acc >> 32)
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, (1 << 64) - 1])
+    def test_matches_reference_formula(self, n, seed):
+        data = bytes((i * 37 + 11 + n) & 0xFF for i in range(n))
+        assert xxh3_64(data, seed) == self._reference(data, seed)
+
+    def test_swap64_is_a_byte_swap(self):
+        from repro.hashes.xxhash import _swap64
+
+        assert _swap64(0x0102030405060708) == 0x0807060504030201
