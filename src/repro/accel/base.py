@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..core.hwcost import HardwareCostReport
+from ..hashes.registry import HashSpec, get_hash
 from ..sim.frontend import BaselineFrontend, LookupFrontend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,6 +82,14 @@ class TranslationAccel:
     def prefill(self, records: "List[Record]") -> None:
         """Untimed steady-state install of every live record into the
         design's own fast table (none for the base design)."""
+
+    def primed_fast_hash(self, records: "List[Record]") -> HashSpec:
+        """The run's fast hash, every record key already memoised in one
+        batch; the prefill of a design with a fast table calls this so
+        its per-record hashes are memo hits."""
+        fast_hash = get_hash(self.config.fast_hash)
+        fast_hash.prime([record.key for record in records])
+        return fast_hash
 
     # -- introspection and reporting ------------------------------------
 

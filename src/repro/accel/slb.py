@@ -38,8 +38,9 @@ class SLBAccel(TranslationAccel):
 
     def prefill(self, records: "List[Record]") -> None:
         slb = self.engine.slb
+        fast_hash = self.primed_fast_hash(records)
         for record in records:
-            slb.prefill(slb.fast_hash(record.key), record.va)
+            slb.prefill(fast_hash(record.key), record.va)
 
     def fast_table_bytes(self) -> int:
         return self.engine.slb.size_bytes

@@ -63,7 +63,7 @@ class StltAccel(TranslationAccel):
                 for stu in engine.stus]
 
     def prefill(self, records: "List[Record]") -> None:
-        fast_hash = get_hash(self.config.fast_hash)
+        fast_hash = self.primed_fast_hash(records)
         stlt = self.engine.osi.stlt
         page_table = self.engine.ctx.space.page_table
         for record in records:
@@ -126,7 +126,7 @@ class StltSwAccel(TranslationAccel):
                 for _ in ctx.cores]
 
     def prefill(self, records: "List[Record]") -> None:
-        fast_hash = get_hash(self.config.fast_hash)
+        fast_hash = self.primed_fast_hash(records)
         for record in records:  # VAs only
             self.table.insert(fast_hash(record.key), record.va, 0)
         self.table.reset_stats()

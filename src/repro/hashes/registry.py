@@ -13,9 +13,10 @@ fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable
 
 from ..errors import ConfigError
+from .batch import hash_many
 from .djb2 import djb2
 from .murmur import murmur64a
 from .siphash import siphash24
@@ -26,11 +27,16 @@ from .xxhash import xxh3_64, xxh64
 class HashSpec:
     """One registered hash function and its timing model.
 
-    Calls are memoised: the functions are pure, and the simulator hashes
-    the same 24-byte keys millions of times, so the cache changes nothing
-    functionally while keeping the pure-Python hot loop fast.  The *cost*
-    of each simulated invocation is still charged by the caller through
-    :meth:`cost_cycles`.
+    Calls are memoised in ``_cache``: the functions are pure, and the
+    simulator hashes the same 24-byte keys millions of times, so the
+    memo changes nothing functionally while keeping the pure-Python hot
+    loop fast.  Building a store fills the memo up front: the build
+    hands the whole key population to :meth:`prime`, which hashes every
+    key the memo lacks in one vectorised pass
+    (:mod:`repro.hashes.batch`), and the per-key calls that follow are
+    memo hits.  The *cost* of each simulated invocation is still
+    charged by the caller through :meth:`cost_cycles`, whether or not
+    the value came from the memo.
     """
 
     name: str
@@ -44,6 +50,17 @@ class HashSpec:
 
     def cost_cycles(self, length: int) -> int:
         return int(self.base_cycles + self.per_byte_cycles * length)
+
+    def prime(self, keys: Iterable[bytes]) -> None:
+        """Memoise the hash of every key in ``keys`` not yet memoised.
+
+        Only values change hands, never simulated time: a primed key
+        hashes to what :meth:`__call__` would return, and the memo keeps
+        the caller's own ``bytes`` objects as its keys.
+        """
+        cache = self._cache
+        todo = [key for key in keys if key not in cache]
+        cache.update(zip(todo, hash_many(self.func, todo)))
 
     def __call__(self, data: bytes) -> int:
         value = self._cache.get(data)

@@ -177,6 +177,9 @@ class Index(abc.ABC):
     """A key -> record index structure over simulated memory."""
 
     name: str = "index"
+    #: whether the index hashes keys with ``ctx.slow_hash`` (the build
+    #: primes that memo over the whole key population only if so)
+    hashes_keys: bool = False
 
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx

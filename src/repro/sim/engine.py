@@ -105,8 +105,11 @@ class Engine:
 
     def _populate(self) -> None:
         config = self.config
-        for key_id in range(config.num_keys):
-            key = key_bytes(key_id)
+        keys = [key_bytes(key_id) for key_id in range(config.num_keys)]
+        if self.index.hashes_keys:
+            # one vectorised pass; every build_insert below is a memo hit
+            self.ctx.slow_hash.prime(keys)
+        for key in keys:
             if self.redis is not None:
                 record = self.redis.populate(key, config.value_size)
             else:

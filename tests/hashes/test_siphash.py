@@ -11,10 +11,19 @@ from repro.hashes.siphash import DEFAULT_KEY, siphash24
 
 REFERENCE_KEY = bytes(range(16))
 
-#: (message length, expected) — official SipHash-2-4 64-bit test vectors
+#: (message length, expected) — official SipHash-2-4 64-bit test vectors,
+#: plus the 15-byte worked example of the SipHash paper's appendix
 VECTORS = [
     (0, 0x726FDB47DD0E0E31),
     (1, 0x74F839C593DC67FD),
+    (2, 0x0D6C8009D9A94F5A),
+    (3, 0x85676696D7FB7E2D),
+    (4, 0xCF2794E0277187B7),
+    (5, 0x18765564CD99A68D),
+    (6, 0xCBC9466E58FEE3CE),
+    (7, 0xAB0200F58B01D137),
+    (8, 0x93F5F5799A932462),
+    (15, 0xA129CA6149BE45E5),
 ]
 
 
