@@ -6,8 +6,9 @@ sequences — no engine run — and pins the sha256 of its JSON-encoded
 request-lifecycle stage: route-cache hits and bootstrap misses, MOVED
 and ASK redirects, replica reads, batching, crash/restart with
 promotion, read hedges, partitions, degradation, the eager-repair
-broadcast, and a replica-less mixed fleet with accelerator hits,
-capacity fallbacks, oversized keys and acked-write loss.  A refactor
+broadcast, a replica-less mixed fleet with accelerator hits, capacity
+fallbacks, oversized keys and acked-write loss, and a replicated
+4-node mixed fleet whose crash is covered by one promotion.  A refactor
 of the overlay must leave every digest unchanged.
 """
 
@@ -43,6 +44,10 @@ CASES = {
         hetero_big_key_fraction=0.05,
         node_fault_plan=("crash:node=1,at=0.5", "restart:node=1,at=0.7"),
         failover_detect_cycles=2000.0),
+    "hetero4-crash-restart": dict(
+        nodes=4, node_types="3full+1accel", replicas=1,
+        node_fault_plan=("crash:node=1,at=0.5", "restart:node=1,at=0.53"),
+        failover_detect_cycles=2000.0, cluster_timeout=4),
 }
 
 DIGESTS = {
@@ -58,6 +63,8 @@ DIGESTS = {
         "b7ba0f1991d19dee3ed15fbb1da89a989e4f60a5ed0a3f5a2665075600d08dc7",
     "hetero-crash-restart":
         "41403dc4a09cfab28788aebe186be28f61a8e81895a61d11b169e257e225240a",
+    "hetero4-crash-restart":
+        "197253ab4a557983a15f65fbd0ba79d1c5a78bc35f5fb69380fef84878e26035",
 }
 
 
@@ -113,3 +120,8 @@ def test_matrix_covers_every_stage():
     assert hetero.failed_requests > 0
     assert hetero.acked_write_losses > 0
     assert hetero.failover["lost_reads"] > 0
+    hetero4 = results["hetero4-crash-restart"]
+    assert hetero4.failover["promotions"] == 1
+    assert hetero4.failover["loss_events"] == 0
+    assert hetero4.failover_violations == 0
+    assert hetero4.hetero["accel_hits"] > 0
