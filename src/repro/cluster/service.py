@@ -52,7 +52,7 @@ from ..hetero.fleet import NODE_CLASS_ACCEL, fleet_cost, format_node_types
 from ..params import derive_seed
 from ..svc.arrival import make_arrivals
 from ..svc.histogram import DEFAULT_PRECISION, LatencyHistogram
-from ..svc.service import Mitigation
+from ..svc.service import CoreQueues, Mitigation
 from ..workloads.distributions import make_chooser
 from ..workloads.keys import key_bytes
 from .client import ClusterClient
@@ -251,7 +251,7 @@ class _Server:
 class _NodeServer(_Server):
     """FIFO core queues of one node, charging captured service times."""
 
-    __slots__ = ("op_cycles", "free_at")
+    __slots__ = ("cores",)
 
     def __init__(self, node_id: int, op_cycles: Sequence[Sequence[int]],
                  precision: int) -> None:
@@ -259,22 +259,16 @@ class _NodeServer(_Server):
             raise ClusterError(
                 f"node {node_id} produced an empty service sequence")
         super().__init__(node_id, precision)
-        self.op_cycles = [list(seq) for seq in op_cycles]
-        self.free_at = [0.0] * len(op_cycles)
+        self.cores = CoreQueues([list(seq) for seq in op_cycles])
 
     def serve(self, at: float) -> float:
         """Charge one request, starting no earlier than ``at``; returns
         the completion time.  Cores are picked round-robin (the node's
         own dispatch policy already played out inside its engine run;
         the cluster layer only needs a stable, deterministic spread)."""
-        n = len(self.op_cycles)
-        core = self.served % n
-        sequence = self.op_cycles[core]
-        service = sequence[(self.served // n) % len(sequence)]
+        _, completion, service = self.cores.charge(
+            self.served % len(self.cores.sequences), at)
         self.served += 1
-        start = at if at > self.free_at[core] else self.free_at[core]
-        completion = start + service
-        self.free_at[core] = completion
         self.busy += service
         return completion
 
@@ -502,8 +496,7 @@ class _Overlay:
         self.mitigation = _mitigation(config, node_op_cycles, bool(plan))
         self.timeout_cycles = self.mitigation.timeout_cycles
         self.hedge_cycles = self.mitigation.hedge_cycles
-        self.attempts = (1 + self.mitigation.retries
-                         if self.timeout_cycles is not None else 1)
+        self.attempts = self.mitigation.attempts
         self.ledger = ledger = WriteLedger(topology, failover)
         self.eager = config.repair_policy == "eager"
         topology.on_owner_change = self._owner_changed

@@ -121,8 +121,10 @@ class RunConfig:
     #: a second copy of a still-queued request is dispatched to the
     #: least-loaded other core after this long; None disables hedging
     svc_hedge: Optional[float] = None
-    #: mitigation: SLO-aware fallback — arrivals route around cores
-    #: whose backlog exceeds the fleet's by the fallback threshold
+    #: mitigation: SLO-aware fallback — an arrival whose predicted wait
+    #: on the picked core exceeds the SLO budget (the timeout budget,
+    #: else the hedge budget, else 4 mean service times) reroutes to
+    #: the least-backlogged other core, if that one drains sooner
     svc_fallback: bool = False
     #: cluster: number of sharded nodes, each a full multi-core engine
     #: (1 = the plain single-node path, untouched by the cluster layer)

@@ -15,9 +15,10 @@ engine captured), all deterministic per seed.
   MMPP-style modulated Poisson);
 * :mod:`repro.svc.dispatch`  — dispatch policies (round-robin,
   key-hash sharding, join-shortest-queue);
-* :mod:`repro.svc.service`   — the queueing simulation itself plus
-  :class:`ServiceResult` (percentiles, offered vs achieved
-  throughput, per-core queue statistics).
+* :mod:`repro.svc.service`   — the queueing simulation itself, the
+  per-core FIFO server :class:`CoreQueues` it shares with the
+  cluster's full nodes, and :class:`ServiceResult` (percentiles,
+  offered vs achieved throughput, per-core queue statistics).
 
 The layer rides on top of closed-loop measurement rather than inside
 it: the engine's cycle numbers stay bit-identical whether or not the
@@ -35,6 +36,7 @@ from .dispatch import (
 )
 from .histogram import LatencyHistogram
 from .service import (
+    CoreQueues,
     Mitigation,
     ServiceResult,
     mitigation_from_config,
@@ -44,6 +46,7 @@ from .service import (
 
 __all__ = [
     "ARRIVAL_PROCESSES",
+    "CoreQueues",
     "DISPATCH_POLICIES",
     "Dispatcher",
     "JoinShortestQueueDispatcher",

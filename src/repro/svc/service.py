@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, ReproError
 from ..hashes.registry import get_hash
@@ -43,8 +43,9 @@ from .arrival import make_arrivals
 from .dispatch import Dispatcher, make_dispatcher
 from .histogram import DEFAULT_PRECISION, LatencyHistogram
 
-__all__ = ["Mitigation", "ServiceResult", "mitigation_from_config",
-           "simulate_service", "service_from_config"]
+__all__ = ["CoreQueues", "Mitigation", "ServiceResult",
+           "mitigation_from_config", "simulate_service",
+           "service_from_config"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,12 @@ class Mitigation:
                 or self.hedge_cycles is not None
                 or self.fallback)
 
+    @property
+    def attempts(self) -> int:
+        """Attempts per request: one, plus one per retry when a timeout
+        can abandon an attempt."""
+        return self.retries + 1 if self.timeout_cycles is not None else 1
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -145,8 +152,8 @@ class ServiceResult:
     #: per-core queue statistics: requests, busy_fraction,
     #: max_queue_depth, mean_queue_depth
     per_core: List[dict]
-    #: the active :class:`Mitigation` as a plain dict; None when the
-    #: run had no resilience logic (the legacy fast path)
+    #: the active :class:`Mitigation` as a plain dict; None when every
+    #: mitigation stage was off (the plain run)
     mitigation: Optional[dict] = None
     #: attempts abandoned on timeout (each one also counts a retry)
     timeouts: int = 0
@@ -192,6 +199,50 @@ class ServiceResult:
         return cls(**data)
 
 
+class CoreQueues:
+    """Per-core FIFO servers replaying captured service times.
+
+    Core ``c``'s ``k``-th request is charged entry ``k mod len`` of
+    ``service_cycles[c]``, so service-time autocorrelation (cache
+    warm-up runs, unlucky STLT conflict bursts) survives into the
+    queueing model instead of being averaged away.  The open-loop
+    service loop and every full cluster node charge their cores here;
+    each caller validates its own sequences, this class raises nothing.
+    """
+
+    __slots__ = ("sequences", "free_at", "served", "busy")
+
+    def __init__(self, service_cycles: Sequence[Sequence[int]]) -> None:
+        self.sequences = service_cycles
+        #: when each core drains its queue (per-core completions sort)
+        self.free_at = [0.0] * len(service_cycles)
+        self.served = [0] * len(service_cycles)
+        self.busy = [0.0] * len(service_cycles)
+
+    def charge(self, core: int, at: float) -> Tuple[float, float, int]:
+        """Serve core ``core``'s next request, starting no earlier than
+        ``at``; returns ``(start, completion, service)``."""
+        sequence = self.sequences[core]
+        served = self.served[core]
+        service = sequence[served % len(sequence)]
+        self.served[core] = served + 1
+        free = self.free_at[core]
+        start = at if at > free else free
+        completion = start + service
+        self.free_at[core] = completion
+        self.busy[core] += service
+        return start, completion, service
+
+    def least_backlogged(self, exclude: int = -1) -> int:
+        """The core that drains first (ties to the lowest id), skipping
+        ``exclude``; -1 when no other core exists."""
+        choice, best = -1, None
+        for core, free in enumerate(self.free_at):
+            if core != exclude and (best is None or free < best):
+                choice, best = core, free
+        return choice
+
+
 def simulate_service(
     service_cycles: Sequence[Sequence[int]],
     arrivals: Sequence[float],
@@ -208,15 +259,19 @@ def simulate_service(
     """Run the open-loop queueing simulation.
 
     ``service_cycles[c]`` is core ``c``'s measured per-op service-time
-    sequence; request ``k`` of core ``c`` is charged entry ``k mod
-    len`` of it, so service-time autocorrelation (cache warm-up runs,
-    unlucky STLT conflict bursts) survives into the queueing model
-    instead of being averaged away.
+    sequence, charged through :class:`CoreQueues`.  Each request is
+    dispatched, then passes the ``mitigation`` stages (SLO fallback,
+    timeout + retry, hedge; see :class:`Mitigation`) before its
+    latency is recorded.  ``None`` means ``Mitigation()``: every stage
+    off, the plain run, reported with ``mitigation`` None.
 
-    With an enabled ``mitigation`` the run goes through the resilient
-    dispatch loop (timeout/retry, hedging, SLO fallback); without one,
-    the legacy loop below runs verbatim — existing timelines are
-    pinned by the determinism tests.
+    Everything is a pure function of the queue state, so the timeline
+    is deterministic per seed.  A timed-out attempt never touches the
+    server: the abandonment condition (predicted wait exceeds the
+    attempt's budget) is exactly "the server would reach this request
+    after the client quit", so skipping the enqueue is equivalent to
+    the server discarding a dead request at the queue head — no
+    clairvoyance involved.
     """
     n = dispatcher.num_cores
     if len(service_cycles) != n:
@@ -231,149 +286,28 @@ def simulate_service(
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise ConfigError("arrival times must be non-decreasing")
 
-    if mitigation is not None and mitigation.enabled:
-        return _simulate_resilient(
-            service_cycles, arrivals, key_ids, dispatcher, mitigation,
-            process=process, offered_load=offered_load,
-            arrival_rate=arrival_rate,
-            closed_loop_throughput=closed_loop_throughput,
-            precision=precision)
-
-    free_at = [0.0] * n
+    m = mitigation if mitigation is not None else Mitigation()
+    enabled = m.enabled
+    cores = CoreQueues(service_cycles)
+    free_at = cores.free_at
     in_flight: List[Deque[float]] = [deque() for _ in range(n)]
-    served = [0] * n
-    busy = [0.0] * n
     depth_sum = [0] * n
     depth_max = [0] * n
     histogram = LatencyHistogram(precision=precision)
     total_latency = 0.0
     total_queue_delay = 0.0
-    last_completion = 0.0
-
-    depths = [0] * n
-    for index, (arrival, key_id) in enumerate(zip(arrivals, key_ids)):
-        for core in range(n):
-            queue = in_flight[core]
-            while queue and queue[0] <= arrival:
-                queue.popleft()
-            depths[core] = len(queue)
-            depth_sum[core] += len(queue)
-
-        core = dispatcher.pick(index, key_id, depths)
-        if not 0 <= core < n:
-            raise ReproError(
-                f"dispatcher {dispatcher.name!r} picked core {core} "
-                f"of {n}")
-        sequence = service_cycles[core]
-        service = sequence[served[core] % len(sequence)]
-        served[core] += 1
-
-        start = arrival if arrival > free_at[core] else free_at[core]
-        completion = start + service
-        free_at[core] = completion
-        in_flight[core].append(completion)
-        if len(in_flight[core]) > depth_max[core]:
-            depth_max[core] = len(in_flight[core])
-        busy[core] += service
-
-        latency = completion - arrival
-        histogram.record(latency)
-        total_latency += latency
-        total_queue_delay += start - arrival
-        if completion > last_completion:
-            last_completion = completion
-
-    requests = len(arrivals)
-    makespan = last_completion
-    per_core = [
-        {
-            "core": core,
-            "requests": served[core],
-            "busy_fraction": busy[core] / makespan if makespan else 0.0,
-            "max_queue_depth": depth_max[core],
-            "mean_queue_depth": depth_sum[core] / requests,
-        }
-        for core in range(n)
-    ]
-    return ServiceResult(
-        process=process,
-        dispatch=dispatcher.name,
-        offered_load=offered_load,
-        arrival_rate=arrival_rate,
-        closed_loop_throughput=closed_loop_throughput,
-        requests=requests,
-        makespan=makespan,
-        achieved_throughput=requests / makespan if makespan else 0.0,
-        mean_latency=total_latency / requests,
-        mean_queue_delay=total_queue_delay / requests,
-        latency=histogram.percentiles(),
-        histogram=histogram.to_dict(),
-        per_core=per_core,
-    )
-
-
-def _simulate_resilient(
-    service_cycles: Sequence[Sequence[int]],
-    arrivals: Sequence[float],
-    key_ids: Sequence[int],
-    dispatcher: Dispatcher,
-    mitigation: Mitigation,
-    *,
-    process: str,
-    offered_load: float,
-    arrival_rate: float,
-    closed_loop_throughput: float,
-    precision: int,
-) -> ServiceResult:
-    """The mitigated dispatch loop (see :class:`Mitigation`).
-
-    Everything is a pure function of the queue state (per-core
-    ``free_at`` backlogs), so the timeline is deterministic per seed.
-    A timed-out attempt never touches the server: the abandonment
-    condition (predicted wait exceeds the attempt's budget) is exactly
-    "the server would reach this request after the client quit", so
-    skipping the enqueue is equivalent to the server discarding a dead
-    request at the queue head — no clairvoyance involved.
-    """
-    n = dispatcher.num_cores
-    m = mitigation
-    free_at = [0.0] * n
-    in_flight: List[Deque[float]] = [deque() for _ in range(n)]
-    served = [0] * n
-    busy = [0.0] * n
-    depth_sum = [0] * n
-    depth_max = [0] * n
-    histogram = LatencyHistogram(precision=precision)
-    total_latency = 0.0
-    total_queue_delay = 0.0
-    last_completion = 0.0
     timeouts = retries = hedges = hedge_wins = fallbacks = 0
+    attempts = m.attempts
+    fallback = m.fallback and n > 1
+    hedge = m.hedge_cycles if n > 1 else None
 
-    def serve(core: int, at: float) -> "tuple[float, float, int]":
-        """Charge one service on ``core`` starting no earlier than ``at``."""
-        nonlocal last_completion
-        sequence = service_cycles[core]
-        service = sequence[served[core] % len(sequence)]
-        served[core] += 1
-        start = at if at > free_at[core] else free_at[core]
-        completion = start + service
-        free_at[core] = completion  # per-core completions stay sorted
-        in_flight[core].append(completion)
-        if len(in_flight[core]) > depth_max[core]:
-            depth_max[core] = len(in_flight[core])
-        busy[core] += service
-        if completion > last_completion:
-            last_completion = completion
+    def serve(core: int, at: float) -> Tuple[float, float, int]:
+        start, completion, service = cores.charge(core, at)
+        queue = in_flight[core]
+        queue.append(completion)
+        if len(queue) > depth_max[core]:
+            depth_max[core] = len(queue)
         return start, completion, service
-
-    def least_backlogged(exclude: int = -1) -> int:
-        choice, best = -1, None
-        for core in range(n):
-            if core == exclude:
-                continue
-            if best is None or free_at[core] < best:
-                choice, best = core, free_at[core]
-        return choice
 
     depths = [0] * n
     for index, (arrival, key_id) in enumerate(zip(arrivals, key_ids)):
@@ -392,8 +326,8 @@ def _simulate_resilient(
 
         # SLO-aware fallback: a request predicted to blow its budget
         # on the picked core reroutes to the healthiest core up front
-        if m.fallback and n > 1:
-            alt = least_backlogged(exclude=core)
+        if fallback:
+            alt = cores.least_backlogged(exclude=core)
             if (free_at[core] - arrival > m.slo_cycles
                     and free_at[alt] < free_at[core]):
                 core = alt
@@ -402,28 +336,24 @@ def _simulate_resilient(
         # timeout + bounded retry with exponential backoff; the final
         # attempt always enqueues, so no request is ever dropped
         t = arrival
-        attempts = (m.retries + 1) if m.timeout_cycles is not None else 1
-        for attempt in range(attempts):
-            if attempt == attempts - 1:
-                break
+        for attempt in range(attempts - 1):
             budget = m.timeout_cycles * (m.backoff ** attempt)
             if free_at[core] - t <= budget:
                 break
             t += budget  # client waited the budget out, then quit
             timeouts += 1
             retries += 1
-            core = least_backlogged()
+            core = cores.least_backlogged()
 
         start, completion, service = serve(core, t)
 
         # hedge: still queued after the hedge delay -> duplicate to
         # the least-loaded other core; first completion wins, both
         # copies consume server time (no cancellation)
-        if (m.hedge_cycles is not None and n > 1
-                and start - t > m.hedge_cycles):
-            alt = least_backlogged(exclude=core)
+        if hedge is not None and start - t > hedge:
+            alt = cores.least_backlogged(exclude=core)
             hedges += 1
-            _, alt_completion, alt_service = serve(alt, t + m.hedge_cycles)
+            _, alt_completion, alt_service = serve(alt, t + hedge)
             if alt_completion < completion:
                 hedge_wins += 1
                 completion, service = alt_completion, alt_service
@@ -431,15 +361,20 @@ def _simulate_resilient(
         latency = completion - arrival
         histogram.record(latency)
         total_latency += latency
-        total_queue_delay += latency - service
+        # same quantity, two float roundings; both are pinned (a hedge
+        # win leaves ``start`` on the losing copy, hence the first)
+        total_queue_delay += (latency - service if enabled
+                              else start - arrival)
 
     requests = len(arrivals)
-    makespan = last_completion
+    # each core's last completion is its free_at
+    makespan = max(free_at)
     per_core = [
         {
             "core": core,
-            "requests": served[core],
-            "busy_fraction": busy[core] / makespan if makespan else 0.0,
+            "requests": cores.served[core],
+            "busy_fraction": (cores.busy[core] / makespan
+                              if makespan else 0.0),
             "max_queue_depth": depth_max[core],
             "mean_queue_depth": depth_sum[core] / requests,
         }
@@ -459,7 +394,7 @@ def _simulate_resilient(
         latency=histogram.percentiles(),
         histogram=histogram.to_dict(),
         per_core=per_core,
-        mitigation=m.to_dict(),
+        mitigation=m.to_dict() if enabled else None,
         timeouts=timeouts,
         retries=retries,
         hedges=hedges,

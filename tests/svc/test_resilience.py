@@ -51,7 +51,7 @@ class TestMitigationValidation:
                        hedge_cycles=400.0, fallback=True, slo_cycles=600.0)
         assert Mitigation.from_dict(m.to_dict()) == m
 
-    def test_none_mitigation_uses_legacy_loop(self):
+    def test_disabled_mitigation_reports_none(self):
         a = run_service([[100]], [0.0, 0.0, 0.0])
         b = run_service([[100]], [0.0, 0.0, 0.0], mitigation=Mitigation())
         assert a.to_dict() == b.to_dict()
