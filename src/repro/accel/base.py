@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..core.hwcost import HardwareCostReport
-from ..hashes.registry import HashSpec, get_hash
+from ..hashes.registry import get_hash
 from ..sim.frontend import BaselineFrontend, LookupFrontend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,13 +83,11 @@ class TranslationAccel:
         """Untimed steady-state install of every live record into the
         design's own fast table (none for the base design)."""
 
-    def primed_fast_hash(self, records: "List[Record]") -> HashSpec:
-        """The run's fast hash, every record key already memoised in one
-        batch; the prefill of a design with a fast table calls this so
-        its per-record hashes are memo hits."""
-        fast_hash = get_hash(self.config.fast_hash)
-        fast_hash.prime([record.key for record in records])
-        return fast_hash
+    def fast_hashes(self, records: "List[Record]") -> List[int]:
+        """The run's fast hash of every record's key, hashed in one
+        batch; the prefill of a design with a fast table starts here."""
+        return get_hash(self.config.fast_hash).hashes(
+            [record.key for record in records])
 
     # -- introspection and reporting ------------------------------------
 

@@ -38,9 +38,8 @@ class SLBAccel(TranslationAccel):
 
     def prefill(self, records: "List[Record]") -> None:
         slb = self.engine.slb
-        fast_hash = self.primed_fast_hash(records)
-        for record in records:
-            slb.prefill(fast_hash(record.key), record.va)
+        for h, record in zip(self.fast_hashes(records), records):
+            slb.prefill(h, record.va)
 
     def fast_table_bytes(self) -> int:
         return self.engine.slb.size_bytes

@@ -31,11 +31,23 @@ from ..sim.frontend import (
     SoftwareSTLTFrontend,
     STLTFrontend,
 )
+from ..params import PAGE_SHIFT
 from .base import TranslationAccel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kvs.records import Record
+    from ..mem.page_table import PageTable
     from ..params import MachineParams
+
+
+def _present_ptes(page_table: "PageTable", vas: List[int]) -> List[int]:
+    """The PTE of each VA's page (0 when unmapped), one page-table
+    lookup per distinct page: records pack about 100 to a page."""
+    pte_of = {}
+    for vpn in {va >> PAGE_SHIFT for va in vas}:
+        pfn = page_table.lookup(vpn)
+        pte_of[vpn] = 0 if pfn is None else make_pte(pfn)
+    return [pte_of[va >> PAGE_SHIFT] for va in vas]
 
 
 class StltAccel(TranslationAccel):
@@ -63,14 +75,12 @@ class StltAccel(TranslationAccel):
                 for stu in engine.stus]
 
     def prefill(self, records: "List[Record]") -> None:
-        fast_hash = self.primed_fast_hash(records)
         stlt = self.engine.osi.stlt
-        page_table = self.engine.ctx.space.page_table
-        for record in records:
-            integer = fast_hash(record.key)
-            pfn = page_table.lookup(record.va >> 12)
-            pte = 0 if self.va_only or pfn is None else make_pte(pfn)
-            stlt.insert(integer, record.va, pte)
+        vas = [record.va for record in records]
+        # STLT-VA keeps no PTEs, so it needs no page-table lookups
+        ptes = None if self.va_only else _present_ptes(
+            self.engine.ctx.space.page_table, vas)
+        stlt.fill(self.fast_hashes(records), vas, ptes)
         stlt.reset_stats()
 
     def fast_occupancy(self) -> Optional[int]:
@@ -126,9 +136,8 @@ class StltSwAccel(TranslationAccel):
                 for _ in ctx.cores]
 
     def prefill(self, records: "List[Record]") -> None:
-        fast_hash = self.primed_fast_hash(records)
-        for record in records:  # VAs only
-            self.table.insert(fast_hash(record.key), record.va, 0)
+        self.table.fill(self.fast_hashes(records),  # VAs only
+                        [record.va for record in records])
         self.table.reset_stats()
 
     def fast_occupancy(self) -> int:

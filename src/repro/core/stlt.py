@@ -16,7 +16,7 @@ physical base address through the CR_S register.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import STLTError
 from ..mem.kernels import matching_indices, occupancy_count, rows_in_pages
@@ -166,6 +166,48 @@ class STLT:
         self._vas[i] = va
         self._ptes[i] = pte
         return set_index, victim
+
+    def fill(self, integers: Sequence[int], vas: Sequence[int],
+             ptes: Optional[Sequence[int]] = None) -> None:
+        """Bulk build-time fill of an empty table: one :meth:`insert`
+        per ``(integer, va, pte)``, in order, in one pass.
+
+        Rows, counters and statistics end up exactly as the per-entry
+        inserts leave them.  In an empty table a set's valid rows are
+        always a prefix of its ways, so an entry either rewrites the
+        prefix row holding its sub-integer, takes the next way, or —
+        every way valid, every counter still 0 — evicts way 0.
+        ``ptes`` None means VA-only rows (PTE 0).  Every VA must be
+        non-zero: a zero VA marks an invalid row.
+        """
+        if self.occupancy:
+            raise STLTError("bulk fill needs an empty table")
+        if 0 in vas:
+            raise STLTError("a filled row needs a non-zero VA")
+        ways, mask = self.ways, self._set_mask
+        counters, subints = self._counters, self._subints
+        row_vas, row_ptes = self._vas, self._ptes
+        filled = [0] * self.num_sets
+        replacements = 0
+        for n, (integer, va) in enumerate(zip(integers, vas)):
+            set_index = (integer >> SUBINT_BITS) & mask
+            subint = integer & SUBINT_MASK
+            base = set_index * ways
+            valid = filled[set_index]
+            if subint in subints[base:base + valid]:
+                i = subints.index(subint, base, base + valid)
+            elif valid < ways:
+                i = base + valid
+                filled[set_index] = valid + 1
+            else:
+                i = base
+                replacements += 1
+            counters[i] = 0
+            subints[i] = subint
+            row_vas[i] = va
+            row_ptes[i] = 0 if ptes is None else ptes[n]
+        self.inserts += len(vas)
+        self.replacements += replacements
 
     # -- OS-side maintenance ----------------------------------------------
 

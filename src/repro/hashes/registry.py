@@ -13,7 +13,7 @@ fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from ..errors import ConfigError
 from .batch import hash_many
@@ -61,6 +61,12 @@ class HashSpec:
         cache = self._cache
         todo = [key for key in keys if key not in cache]
         cache.update(zip(todo, hash_many(self.func, todo)))
+
+    def hashes(self, keys: Sequence[bytes]) -> List[int]:
+        """The hash of every key in ``keys``, primed in one batch."""
+        self.prime(keys)
+        cache = self._cache
+        return [cache[key] for key in keys]
 
     def __call__(self, data: bytes) -> int:
         value = self._cache.get(data)

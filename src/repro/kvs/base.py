@@ -25,6 +25,10 @@ STLT-accelerable structure: a key goes in, the matching record comes out.
 ``lookup`` is the *timed* path (it drives the simulated memory system);
 ``build_insert`` installs a key without timing, used to populate stores
 before measurement; ``insert``/``remove`` are the timed mutation paths.
+An index whose build allocates a fixed pattern per key (one node, or
+none) declares it in ``build_node_bytes``, and the engine's bulk build
+allocates every record and node in one pass and hands each key its node
+through ``build_link``.
 """
 
 from __future__ import annotations
@@ -180,6 +184,11 @@ class Index(abc.ABC):
     #: whether the index hashes keys with ``ctx.slow_hash`` (the build
     #: primes that memo over the whole key population only if so)
     hashes_keys: bool = False
+    #: bytes of the one node the untimed build allocates per key, right
+    #: after the key's record (0: none); None when the build's own
+    #: allocations depend on the keys, so only the per-key
+    #: :meth:`build_insert` lays the store out correctly
+    build_node_bytes: Optional[int] = None
 
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx
@@ -201,9 +210,17 @@ class Index(abc.ABC):
 
     # -- untimed operations (population / verification) -------------------
 
-    @abc.abstractmethod
     def build_insert(self, key: bytes, record: Record) -> None:
         """Install a key without charging simulated time."""
+        self._check_new_key(key)
+        node_bytes = self.build_node_bytes
+        self.build_link(key, record,
+                        self.ctx.alloc.alloc(node_bytes) if node_bytes else 0)
+
+    def build_link(self, key: bytes, record: Record, node_va: int) -> None:
+        """Untimed install of a key whose node (``build_node_bytes`` at
+        ``node_va``; 0 without one) the build has already allocated."""
+        raise NotImplementedError(f"{self.name} builds key by key")
 
     @abc.abstractmethod
     def probe(self, key: bytes) -> Optional[Record]:

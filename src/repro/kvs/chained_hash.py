@@ -51,6 +51,7 @@ class ChainedHashIndex(Index):
 
     name = "unordered_map"
     hashes_keys = True
+    build_node_bytes = NODE_BYTES
 
     def __init__(
         self,
@@ -107,7 +108,7 @@ class ChainedHashIndex(Index):
         idx = h & self._mask
         ctx.mem.access(self._bucket_va(idx), BUCKET_PTR_BYTES,
                        kind=AccessKind.INDEX)
-        node = self._make_node(key, record, h, idx)
+        node = self._link(ctx.alloc.alloc(NODE_BYTES), record, h)
         # write the fresh node and the bucket head pointer
         ctx.mem.access(node.va, NODE_BYTES, write=True, kind=AccessKind.INDEX)
         ctx.mem.access(self._bucket_va(idx), BUCKET_PTR_BYTES, write=True,
@@ -145,10 +146,8 @@ class ChainedHashIndex(Index):
 
     # -- untimed path ---------------------------------------------------------
 
-    def build_insert(self, key: bytes, record: Record) -> None:
-        self._check_new_key(key)
-        h = self._hash(key)
-        self._make_node(key, record, h, h & self._mask)
+    def build_link(self, key: bytes, record: Record, node_va: int) -> None:
+        self._link(node_va, record, self._hash(key))
 
     def probe(self, key: bytes) -> Optional[Record]:
         h = self._hash(key)
@@ -161,8 +160,10 @@ class ChainedHashIndex(Index):
 
     # -- internals ---------------------------------------------------------
 
-    def _make_node(self, key: bytes, record: Record, h: int, idx: int) -> _Node:
-        node = _Node(self.ctx.alloc.alloc(NODE_BYTES), record, h)
+    def _link(self, node_va: int, record: Record, h: int) -> _Node:
+        """Push a node at ``node_va`` on the head of its bucket's chain."""
+        node = _Node(node_va, record, h)
+        idx = h & self._mask
         node.next = self._buckets[idx]
         self._buckets[idx] = node
         self.size += 1

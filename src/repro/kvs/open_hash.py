@@ -38,6 +38,9 @@ class OpenHashIndex(Index):
 
     name = "dense_hash_map"
     hashes_keys = True
+    #: slots live in the table itself, sized for the whole build (which
+    #: therefore never grows it): the build allocates no nodes
+    build_node_bytes = 0
 
     #: Google dense_hash_map's default maximum occupancy
     MAX_LOAD = 0.5
@@ -136,8 +139,7 @@ class OpenHashIndex(Index):
 
     # -- untimed path ---------------------------------------------------------
 
-    def build_insert(self, key: bytes, record: Record) -> None:
-        self._check_new_key(key)
+    def build_link(self, key: bytes, record: Record, node_va: int) -> None:
         if (self.size + 1) / self.num_slots > self.MAX_LOAD:
             self._grow()
         for idx in self._probe_sequence(self._hash(key)):

@@ -41,6 +41,7 @@ class RBTreeIndex(Index):
     """Self-balancing red-black tree over simulated memory."""
 
     name = "ordered_map"
+    build_node_bytes = NODE_BYTES
 
     def __init__(self, ctx: SimContext, expected_keys: int = 0) -> None:
         super().__init__(ctx)
@@ -86,7 +87,8 @@ class RBTreeIndex(Index):
             parent = node
             cmp = self._compare_at(node, key)
             node = node.left if cmp < 0 else node.right
-        fresh = self._attach(parent, key, record)
+        fresh = self._attach(parent, key, record,
+                             self.ctx.alloc.alloc(NODE_BYTES))
         self._touch(fresh, write=True)
         self._insert_fixup(fresh, timed=True)
 
@@ -104,14 +106,13 @@ class RBTreeIndex(Index):
 
     # -- untimed operations -----------------------------------------------
 
-    def build_insert(self, key: bytes, record: Record) -> None:
-        self._check_new_key(key)
+    def build_link(self, key: bytes, record: Record, node_va: int) -> None:
         parent = self.nil
         node = self.root
         while node is not self.nil:
             parent = node
             node = node.left if key < node.record.key else node.right
-        fresh = self._attach(parent, key, record)
+        fresh = self._attach(parent, key, record, node_va)
         self._insert_fixup(fresh, timed=False)
 
     def probe(self, key: bytes) -> Optional[Record]:
@@ -124,8 +125,9 @@ class RBTreeIndex(Index):
 
     # -- structure ---------------------------------------------------------
 
-    def _attach(self, parent: _Node, key: bytes, record: Record) -> _Node:
-        fresh = _Node(self.ctx.alloc.alloc(NODE_BYTES), record, RED)
+    def _attach(self, parent: _Node, key: bytes, record: Record,
+                node_va: int) -> _Node:
+        fresh = _Node(node_va, record, RED)
         fresh.left = fresh.right = self.nil
         fresh.parent = parent
         if parent is self.nil:

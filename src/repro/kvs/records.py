@@ -20,7 +20,7 @@ access helpers the index structures and front-ends share:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import KVSError
 from ..mem.allocator import BumpAllocator
@@ -75,7 +75,8 @@ class RecordStore:
             raise KVSError("record keys must be non-empty")
         if value_size < 0:
             raise KVSError("value size cannot be negative")
-        va = self.alloc.alloc(RECORD_HEADER_BYTES + len(key) + value_size)
+        size, = self.allocation_sizes(len(key), value_size)
+        va = self.alloc.alloc(size)
         record = Record(va=va, key=key, value_size=value_size)
         self.by_va[va] = record
         return record
@@ -87,14 +88,54 @@ class RecordStore:
             raise KVSError("record keys must be non-empty")
         if value_size < 0:
             raise KVSError("value size cannot be negative")
-        va = self.alloc.alloc(RECORD_HEADER_BYTES + len(key))
-        value_va = self.alloc.alloc(RECORD_HEADER_BYTES + value_size)
+        record_size, value_bytes = self.allocation_sizes(
+            len(key), value_size, external=True)
+        va = self.alloc.alloc(record_size)
+        value_va = self.alloc.alloc(value_bytes)
         record = Record(
             va=va, key=key, value_size=value_size,
             external_value_va=value_va + RECORD_HEADER_BYTES,
         )
         self.by_va[va] = record
         return record
+
+    @staticmethod
+    def allocation_sizes(key_len: int, value_size: int,
+                         external: bool = False) -> List[int]:
+        """Bytes of each allocation :meth:`create` (one) or
+        :meth:`create_external` (record, then value) makes per record."""
+        if external:
+            return [RECORD_HEADER_BYTES + key_len,
+                    RECORD_HEADER_BYTES + value_size]
+        return [RECORD_HEADER_BYTES + key_len + value_size]
+
+    def create_many(self, keys: Sequence[bytes], value_size: int,
+                    vas: Sequence[int],
+                    value_vas: Optional[Sequence[int]] = None
+                    ) -> List[Record]:
+        """Records for ``keys`` at VAs the build allocated in bulk.
+
+        ``vas`` (and, for the Redis layout, ``value_vas``) come from one
+        :meth:`~repro.mem.allocator.BumpAllocator.alloc_many` over
+        :meth:`allocation_sizes`, so every key must have one length.
+        """
+        if not keys:
+            return []
+        key_len = len(keys[0])
+        if not key_len or any(len(key) != key_len for key in keys):
+            raise KVSError("bulk-built records need non-empty keys of one "
+                           "length")
+        if value_size < 0:
+            raise KVSError("value size cannot be negative")
+        if value_vas is None:
+            records = [Record(va, key, value_size)
+                       for key, va in zip(keys, vas)]
+        else:
+            records = [Record(va, key, value_size,
+                              external_value_va=value_va + RECORD_HEADER_BYTES)
+                       for key, va, value_va in zip(keys, vas, value_vas)]
+        self.by_va.update(zip(vas, records))
+        return records
 
     def destroy(self, record: Record) -> None:
         if record.va not in self.by_va:

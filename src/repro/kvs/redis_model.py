@@ -84,12 +84,6 @@ class RedisModel:
         """Allocate the Redis representation of one key-value pair."""
         return self.ctx.records.create_external(key, value_size)
 
-    def populate(self, key: bytes, value_size: int) -> Record:
-        """Untimed install of a key during store construction."""
-        record = self.create_record(key, value_size)
-        self.index.build_insert(key, record)
-        return record
-
     def lookup(self, key: bytes) -> Optional[Record]:
         """The dict lookup component (timed); no command framing."""
         return self.index.lookup(key)

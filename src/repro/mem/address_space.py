@@ -63,14 +63,16 @@ class AddressSpace:
         if size_bytes <= 0:
             raise ConfigError("region size must be positive")
         pages = (size_bytes + PAGE_BYTES - 1) // PAGE_BYTES
-        if kernel:
-            base = self._next_kernel_va
-            self._next_kernel_va += pages * PAGE_BYTES
-        else:
-            base = self._next_user_va
-            self._next_user_va += pages * PAGE_BYTES
-        if (base + pages * PAGE_BYTES) >= (1 << VA_BITS):
+        base = self._next_kernel_va if kernel else self._next_user_va
+        end = base + pages * PAGE_BYTES
+        # user regions end at or below KERNEL_BASE, kernel regions at the
+        # top of the 48-bit space; a refused request moves no cursor
+        if end > ((1 << VA_BITS) if kernel else KERNEL_BASE):
             raise AddressError("virtual address space exhausted")
+        if kernel:
+            self._next_kernel_va = end
+        else:
+            self._next_user_va = end
         vpn = base >> PAGE_SHIFT
         for i in range(pages):
             self.page_table.map(vpn + i, self.frames.alloc())

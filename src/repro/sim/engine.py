@@ -18,6 +18,7 @@ this against golden numbers).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from ..chaos.oracle import StaleTranslationOracle
@@ -72,8 +73,7 @@ class Engine:
             self.index = make_index(config.program, self.ctx,
                                     expected_keys=config.num_keys)
 
-        self.records: List[Record] = []
-        self._populate()
+        self.records: List[Record] = self._populate()
 
         #: per-core STUs (stlt/stlt_va designs only; None otherwise)
         self.stus: List[Optional[STU]] = [None] * config.num_cores
@@ -103,19 +103,43 @@ class Engine:
     # construction
     # ------------------------------------------------------------------
 
-    def _populate(self) -> None:
+    def _populate(self) -> List[Record]:
+        """Lay out and index every key; returns the records in key order.
+
+        The layout is one bulk pass: a single ``alloc_many`` over each
+        key's record, Redis value object and index node gives the VAs
+        (and frames) the per-key build would, then every key is linked.
+        """
         config = self.config
+        ctx = self.ctx
+        index = self.index
         keys = [key_bytes(key_id) for key_id in range(config.num_keys)]
-        if self.index.hashes_keys:
-            # one vectorised pass; every build_insert below is a memo hit
-            self.ctx.slow_hash.prime(keys)
-        for key in keys:
-            if self.redis is not None:
-                record = self.redis.populate(key, config.value_size)
-            else:
-                record = self.ctx.records.create(key, config.value_size)
-                self.index.build_insert(key, record)
-            self.records.append(record)
+        if index.hashes_keys:
+            # one vectorised pass; every hash below is a memo hit
+            ctx.slow_hash.prime(keys)
+        node_bytes = index.build_node_bytes
+        if node_bytes is None:
+            # the index allocates as the keys dictate (B-tree splits)
+            records = []
+            for key in keys:
+                record = ctx.records.create(key, config.value_size)
+                index.build_insert(key, record)
+                records.append(record)
+            return records
+        external = self.redis is not None
+        sizes = ctx.records.allocation_sizes(len(keys[0]), config.value_size,
+                                             external)
+        if node_bytes:
+            sizes.append(node_bytes)
+        columns = ctx.alloc.alloc_many(sizes, len(keys))
+        records = ctx.records.create_many(
+            keys, config.value_size, columns[0],
+            columns[1] if external else None)
+        link = index.build_link
+        for record, node_va in zip(records, columns[-1] if node_bytes
+                                   else repeat(0)):
+            link(record.key, record, node_va)
+        return records
 
     # ------------------------------------------------------------------
     # core binding

@@ -13,10 +13,11 @@ KEY_BYTES = 24
 _PREFIX = b"user"
 _DIGITS = KEY_BYTES - len(_PREFIX)
 _MAX_ID = 10 ** _DIGITS - 1
+_FORMAT = _PREFIX + b"%0" + str(_DIGITS).encode("ascii") + b"d"
 
 
 def key_bytes(key_id: int) -> bytes:
     """Render key number ``key_id`` as its 24-byte YCSB key."""
     if not 0 <= key_id <= _MAX_ID:
         raise ConfigError(f"key id {key_id} out of range")
-    return _PREFIX + str(key_id).zfill(_DIGITS).encode("ascii")
+    return _FORMAT % key_id

@@ -180,3 +180,26 @@ class TestMaintenance:
         stlt.scan(integer_for(0, 1, stlt))
         stlt.reset_stats()
         assert stlt.lookups == 0
+
+
+class TestFill:
+    def test_fill_needs_an_empty_table(self):
+        stlt = STLT(64, ways=4)
+        stlt.insert(5 << SUBINT_BITS, 0x1000, 0)
+        with pytest.raises(STLTError):
+            stlt.fill([7], [0x2000])
+
+    def test_fill_needs_non_zero_vas(self):
+        stlt = STLT(64, ways=4)
+        with pytest.raises(STLTError):
+            stlt.fill([7, 8], [0x2000, 0])
+        assert stlt.occupancy == 0
+
+    def test_overflowing_set_replaces_way_zero(self):
+        stlt = STLT(16, ways=4)
+        integers = [(n << SUBINT_BITS * 2) | n for n in range(1, 7)]
+        stlt.fill(integers, [0x1000 * n for n in range(1, 7)])
+        # six entries, one set: ways 1..3 keep entries 2..4, and way 0
+        # held entries 1, 5 and 6 in turn
+        assert stlt._vas[:4] == [0x6000, 0x2000, 0x3000, 0x4000]
+        assert stlt.replacements == 2 and stlt.inserts == 6

@@ -106,3 +106,31 @@ def test_clear_is_total(pairs):
     assert stlt.occupancy == 0
     for integer, _ in pairs:
         assert stlt.scan(integer)[1] is None
+
+
+def _rows(stlt: STLT):
+    return (stlt._counters, stlt._subints, stlt._vas, stlt._ptes,
+            stlt.inserts, stlt.replacements, stlt._rng.getstate())
+
+
+#: few sets and a narrow integer range, so sets overflow and repeat
+#: sub-integers often
+fill_entries = st.lists(
+    st.tuples(st.tuples(st.integers(0, 31), st.integers(0, 5))
+              .map(lambda t: (t[0] << SUBINT_BITS) | t[1]),
+              vas, st.integers(0, (1 << 40) - 1)),
+    max_size=120,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fill_entries, st.sampled_from([(64, 4), (32, 8), (16, 1)]),
+       st.booleans())
+def test_fill_equals_the_insert_loop(entries, geometry, va_only):
+    rows, ways = geometry
+    loop, bulk = STLT(rows, ways=ways), STLT(rows, ways=ways)
+    for integer, va, pte in entries:
+        loop.insert(integer, va, 0 if va_only else pte)
+    bulk.fill([e[0] for e in entries], [e[1] for e in entries],
+              None if va_only else [e[2] for e in entries])
+    assert _rows(bulk) == _rows(loop)

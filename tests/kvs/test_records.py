@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import KVSError
+from repro.kvs.base import SimContext
 from repro.kvs.records import RECORD_HEADER_BYTES, RecordStore
 
 
@@ -36,6 +37,23 @@ class TestCreate:
         # the record allocation holds only header + key
         assert rec.total_size == RECORD_HEADER_BYTES + 24
         assert rec.value_va == rec.external_value_va
+
+    @pytest.mark.parametrize("external", [False, True])
+    def test_create_many_matches_create(self, ctx, external):
+        keys = [b"k%05d" % i for i in range(300)]
+        one = SimContext.create(slow_hash="murmur").records
+        create = one.create_external if external else one.create
+        expected = [create(key, 40) for key in keys]
+        sizes = RecordStore.allocation_sizes(6, 40, external)
+        columns = ctx.alloc.alloc_many(sizes, len(keys))
+        built = ctx.records.create_many(
+            keys, 40, columns[0], columns[1] if external else None)
+        assert built == expected
+        assert ctx.records.by_va == one.by_va
+
+    def test_create_many_needs_keys_of_one_length(self, store):
+        with pytest.raises(KVSError):
+            store.create_many([b"ab", b"abc"], 8, [0x1000, 0x2000])
 
     def test_records_registered_by_va(self, store):
         rec = store.create(b"kk", 8)

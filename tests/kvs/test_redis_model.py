@@ -8,6 +8,13 @@ from repro.kvs.redis_model import RedisModel
 from repro.workloads.keys import key_bytes
 
 
+def populate(redis, key, value_size):
+    """Untimed install of one key: its Redis records, then its dict node."""
+    record = redis.create_record(key, value_size)
+    redis.index.build_insert(key, record)
+    return record
+
+
 @pytest.fixture
 def redis(redis_ctx):
     return RedisModel(redis_ctx, expected_keys=256)
@@ -25,11 +32,11 @@ class TestConstruction:
 
 class TestCommands:
     def test_populate_and_lookup(self, redis):
-        rec = redis.populate(key_bytes(1), 64)
+        rec = populate(redis, key_bytes(1), 64)
         assert redis.lookup(key_bytes(1)) is rec
 
     def test_values_are_external_allocations(self, redis):
-        rec = redis.populate(key_bytes(2), 64)
+        rec = populate(redis, key_bytes(2), 64)
         assert rec.external_value_va is not None
 
     def test_begin_command_charges_overhead(self, redis, redis_ctx):
@@ -51,7 +58,7 @@ class TestCommands:
         assert redis.sets == 1
 
     def test_set_existing_overwrites_in_place(self, redis, redis_ctx):
-        rec = redis.populate(key_bytes(4), 64)
+        rec = populate(redis, key_bytes(4), 64)
         before = redis_ctx.mem.stats.writes
         redis.set_existing(rec)
         assert redis_ctx.mem.stats.writes > before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import AddressError, ConfigError
 from repro.mem.address_space import KERNEL_BASE, AddressSpace
 from repro.params import PAGE_BYTES
 
@@ -74,3 +74,26 @@ class TestMutationEvents:
         space.invalidation_hooks.append(seen.append)
         space.migrate_page(base)
         assert seen == [base >> 12]
+
+
+class TestExhaustion:
+    def test_refused_region_leaves_the_cursor(self, space):
+        first = space.alloc_region(PAGE_BYTES)
+        mapped = space.page_table.mapped_pages
+        frames = space.frames.frames_allocated
+        with pytest.raises(AddressError):
+            space.alloc_region(1 << 48)
+        # the refused call mapped nothing and moved no cursor
+        assert space.page_table.mapped_pages == mapped
+        assert space.frames.frames_allocated == frames
+        nxt = space.alloc_region(PAGE_BYTES)
+        assert nxt == first + PAGE_BYTES
+        assert not space.is_kernel_address(nxt)
+
+    def test_user_regions_stop_at_the_kernel_half(self, space):
+        space._next_user_va = KERNEL_BASE - 2 * PAGE_BYTES
+        # a region ending exactly at KERNEL_BASE still fits
+        last = space.alloc_region(2 * PAGE_BYTES)
+        assert not space.is_kernel_address(last + PAGE_BYTES)
+        with pytest.raises(AddressError):
+            space.alloc_region(PAGE_BYTES)

@@ -28,6 +28,10 @@ class TestKeys:
     def test_prefix(self):
         assert key_bytes(7).startswith(b"user")
 
+    def test_zero_padded_decimal(self):
+        for key_id in (0, 7, 59_999, 123_456_789, 10**20 - 1):
+            assert key_bytes(key_id) == b"user" + str(key_id).zfill(20).encode()
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             key_bytes(-1)
